@@ -582,6 +582,7 @@ fn run_suspend_phase(args: &Args) -> (String, bool) {
             "--snapshot-json BENCH_snapshot.json\",\n",
             "  \"environment\": {{\n",
             "    \"cpus\": {cpus},\n",
+            "    \"cgroup_cpu_quota\": {quota},\n",
             "    \"effective_parallelism\": {par},\n",
             "    \"simd_backend\": \"{simd}\",\n",
             "    \"simd_features\": [{features}]\n",
@@ -621,6 +622,7 @@ fn run_suspend_phase(args: &Args) -> (String, bool) {
         conns = args.conns,
         shards = args.shards,
         cpus = env.cpus,
+        quota = env.cgroup_cpu_quota_json(),
         par = env.effective_parallelism,
         simd = env.simd_backend,
         features = env
@@ -968,6 +970,7 @@ fn main() -> ExitCode {
             "--sessions {sessions} --conns {conns} --shards {shards}\",\n",
             "  \"environment\": {{\n",
             "    \"cpus\": {cpus},\n",
+            "    \"cgroup_cpu_quota\": {quota},\n",
             "    \"effective_parallelism\": {par},\n",
             "    \"simd_backend\": \"{simd}\",\n",
             "    \"simd_features\": [{features}]\n",
@@ -1006,6 +1009,7 @@ fn main() -> ExitCode {
         conns = args.conns,
         shards = args.shards,
         cpus = env.cpus,
+        quota = env.cgroup_cpu_quota_json(),
         par = env.effective_parallelism,
         simd = env.simd_backend,
         features = env

@@ -18,16 +18,20 @@ pub fn engine() -> &'static EchoWrite {
     E.get_or_init(EchoWrite::new)
 }
 
-/// Snapshot of the benchmark host: hardware threads, the worker count
+/// Snapshot of the benchmark host: hardware threads, the cgroup CPU quota
+/// that may cap them, the worker count
 /// [`Parallelism::Auto`](echowrite::Parallelism) resolves to, and the
 /// runtime-dispatched SIMD backend with every feature the dispatcher
 /// detected. Recorded in each `BENCH_*.json` environment block so a number
 /// can never be compared across hosts (or `ECHOWRITE_SIMD` overrides)
 /// without noticing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchEnvironment {
     /// Hardware threads reported by the OS.
     pub cpus: usize,
+    /// The cgroup CPU quota in CPUs (`quota / period`), or `None` when the
+    /// cgroup sets no limit or none is readable.
+    pub cgroup_cpu_quota: Option<f64>,
     /// Workers `Parallelism::Auto` resolves to for an unbounded workload.
     pub effective_parallelism: usize,
     /// The SIMD backend the kernel dispatcher selected (honours the
@@ -41,8 +45,9 @@ impl std::fmt::Display for BenchEnvironment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "cpus={} effective_parallelism={} simd_backend={} simd_features={}",
+            "cpus={} cgroup_cpu_quota={} effective_parallelism={} simd_backend={} simd_features={}",
             self.cpus,
+            self.cgroup_cpu_quota_json(),
             self.effective_parallelism,
             self.simd_backend,
             self.simd_features.join(",")
@@ -50,10 +55,38 @@ impl std::fmt::Display for BenchEnvironment {
     }
 }
 
+impl BenchEnvironment {
+    /// The CPU quota as a JSON value: a number, or `null` without a quota.
+    pub fn cgroup_cpu_quota_json(&self) -> String {
+        self.cgroup_cpu_quota.map_or_else(|| "null".to_string(), |q| format!("{q}"))
+    }
+}
+
+/// The cgroup CPU quota in CPUs, read from cgroup v2 `cpu.max` or, failing
+/// that, v1 `cpu.cfs_quota_us` / `cpu.cfs_period_us` (read-only).
+fn cgroup_cpu_quota() -> Option<f64> {
+    let read = |path: &str| std::fs::read_to_string(path).ok();
+    if let Some(text) = read("/sys/fs/cgroup/cpu.max") {
+        return parse_cpu_max(&text);
+    }
+    let quota: f64 = read("/sys/fs/cgroup/cpu/cpu.cfs_quota_us")?.trim().parse().ok()?;
+    let period: f64 = read("/sys/fs/cgroup/cpu/cpu.cfs_period_us")?.trim().parse().ok()?;
+    (quota > 0.0 && period > 0.0).then(|| quota / period)
+}
+
+/// Parses a cgroup v2 `cpu.max` line, `"<quota|max> <period>"`.
+fn parse_cpu_max(text: &str) -> Option<f64> {
+    let mut it = text.split_whitespace();
+    let quota: f64 = it.next()?.parse().ok()?;
+    let period: f64 = it.next()?.parse().ok()?;
+    (quota > 0.0 && period > 0.0).then(|| quota / period)
+}
+
 /// Probes the current process's benchmark environment.
 pub fn bench_environment() -> BenchEnvironment {
     BenchEnvironment {
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cgroup_cpu_quota: cgroup_cpu_quota(),
         effective_parallelism: echowrite::Parallelism::Auto.workers(usize::MAX),
         simd_backend: echowrite_dsp::kernels::backend().name(),
         simd_features: echowrite_dsp::kernels::detected_features(),
@@ -97,9 +130,18 @@ mod tests {
         assert!(env.cpus >= 1);
         assert!(env.effective_parallelism >= 1);
         assert!(!env.simd_backend.is_empty());
+        assert!(env.cgroup_cpu_quota.is_none_or(|q| q > 0.0));
         let line = env.to_string();
         assert!(line.contains("cpus="));
+        assert!(line.contains("cgroup_cpu_quota="));
         assert!(line.contains("simd_backend="));
+    }
+
+    #[test]
+    fn cpu_max_parses_quota_and_unlimited() {
+        assert_eq!(parse_cpu_max("150000 100000\n"), Some(1.5));
+        assert_eq!(parse_cpu_max("max 100000\n"), None);
+        assert_eq!(parse_cpu_max(""), None);
     }
 
     #[test]

@@ -80,8 +80,10 @@ pub struct Pipeline {
     /// streaming session built on this engine so twiddle tables and window
     /// coefficients are planned once per configuration, not per session.
     stft: std::sync::Arc<Stft>,
-    /// The decimating front-end, present for `Frontend::Downconverted`.
-    downconvert: Option<(Downconverter, BasebandStft)>,
+    /// The decimating front-end's plan, present for
+    /// `Frontend::Downconverted`; shared with streaming sessions like the
+    /// STFT plan (see [`Pipeline::shared_downconvert`]).
+    downconvert: Option<SharedDownconvert>,
     enhancer: Enhancer,
     segmenter: Segmenter,
 }
@@ -112,6 +114,12 @@ impl Pipeline {
     /// their own (the plan is immutable, so sharing is output-neutral).
     pub fn shared_stft(&self) -> std::sync::Arc<Stft> {
         std::sync::Arc::clone(&self.stft)
+    }
+
+    /// Handles to the shared decimating front-end plan (FIR taps, baseband
+    /// STFT twiddles and window), present for `Frontend::Downconverted`.
+    pub(crate) fn shared_downconvert(&self) -> Option<SharedDownconvert> {
+        self.downconvert.clone()
     }
 
     /// Builds the ROI spectrogram through the configured front-end.
@@ -326,21 +334,22 @@ pub(crate) fn roi_bins(config: &EchoWriteConfig) -> (usize, usize, usize) {
     (lo, hi, carrier_bin)
 }
 
-/// Builds the decimating front-end pair. Shared by the batch pipeline and
-/// the streaming front-end so the filter taps and framing geometry are
-/// identical: same bin width and hop duration as the full-rate STFT, with
-/// magnitudes scaled by `factor` so α stays calibrated.
-pub(crate) fn make_downconvert(
-    config: &EchoWriteConfig,
-    factor: usize,
-) -> (Downconverter, BasebandStft) {
+/// The decimating front-end's immutable plan, shared between sessions.
+pub(crate) type SharedDownconvert = (std::sync::Arc<Downconverter>, std::sync::Arc<BasebandStft>);
+
+/// Builds the decimating front-end pair, once per pipeline: the batch path
+/// and every streaming session share it, so the filter taps and framing
+/// geometry are identical — same bin width and hop duration as the
+/// full-rate STFT, with magnitudes scaled by `factor` so α stays
+/// calibrated.
+fn make_downconvert(config: &EchoWriteConfig, factor: usize) -> SharedDownconvert {
     let dc = Downconverter::new(config.carrier_hz, config.stft.sample_rate, factor, 129);
     let bb = BasebandStft::new(
         config.stft.fft_size / factor,
         config.stft.hop / factor,
         factor as f64,
     );
-    (dc, bb)
+    (std::sync::Arc::new(dc), std::sync::Arc::new(bb))
 }
 
 /// Fills a flat frame-major buffer (`frames × band`) by computing each frame

@@ -34,9 +34,8 @@
 //! session on the same device/scene skips the background-estimation
 //! lead-in.
 
-use crate::config::Frontend;
 use crate::engine::EchoWrite;
-use crate::pipeline::{make_downconvert, roi_bins};
+use crate::pipeline::roi_bins;
 use crate::session_state::{
     ChainState, DownState, FrontState, IncrementalState, ReplayState, RestoreError, SessionBody,
     SessionState, SnapshotState,
@@ -874,7 +873,8 @@ impl Chain {
 #[derive(Debug)]
 struct Down {
     sdc: StreamingDownconverter,
-    bb: BasebandStft,
+    /// The engine's baseband STFT plan, shared like the full-rate one.
+    bb: std::sync::Arc<BasebandStft>,
     scratch: BasebandScratch,
     /// Baseband samples not yet fully consumed by framing.
     baseband: Vec<Complex>,
@@ -921,21 +921,21 @@ impl Incremental {
             segmenter: StreamingSegmenter::new(cfg.segment, cfg.stft.hop_seconds()),
             acc: Vec::new(),
         };
-        let front = match cfg.frontend {
-            Frontend::FullStft => Front::Full {
-                // Sessions share the engine's plan: twiddle tables and the
-                // window are built once per configuration, not per session.
+        // Sessions share the engine's plans: the STFT twiddle tables and
+        // window, or the down-converter's FIR taps and baseband STFT, are
+        // built once per configuration, not per session.
+        let front = match engine.pipeline().shared_downconvert() {
+            None => Front::Full {
                 sstft: Box::new(StreamingStft::with_shared_plan(engine.pipeline().shared_stft())),
                 lo,
                 hi,
             },
-            Frontend::Downconverted { factor } => {
-                let (dc, bb) = make_downconvert(cfg, factor);
+            Some((dc, bb)) => {
                 // Same row geometry as Pipeline::roi_spectrogram.
                 let centre = bb.fft_size() / 2;
                 let (row_lo, row_hi) = (centre - carrier_row, centre + (hi - carrier_bin));
                 Front::Down(Box::new(Down {
-                    sdc: StreamingDownconverter::new(dc),
+                    sdc: StreamingDownconverter::with_shared_plan(dc),
                     scratch: bb.make_scratch(),
                     bb,
                     baseband: Vec::new(),

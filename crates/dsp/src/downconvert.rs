@@ -146,7 +146,8 @@ impl Downconverter {
 /// periodic exact re-seeding) is replayed in the same order.
 #[derive(Debug, Clone)]
 pub struct StreamingDownconverter {
-    dc: Downconverter,
+    /// The plan, shareable between streams (it is immutable).
+    dc: std::sync::Arc<Downconverter>,
     buffer: Vec<f64>,
     /// Absolute input index of `buffer[0]`.
     base: usize,
@@ -162,6 +163,12 @@ pub struct StreamingDownconverter {
 impl StreamingDownconverter {
     /// Wraps a down-converter for chunked input.
     pub fn new(dc: Downconverter) -> Self {
+        Self::with_shared_plan(std::sync::Arc::new(dc))
+    }
+
+    /// Like [`StreamingDownconverter::new`], sharing a plan with other
+    /// streams (the FIR taps are built once per configuration).
+    pub fn with_shared_plan(dc: std::sync::Arc<Downconverter>) -> Self {
         let w = std::f64::consts::TAU * dc.carrier_hz / dc.sample_rate;
         let step = Complex::from_angle(-w * dc.factor as f64);
         StreamingDownconverter {
@@ -189,6 +196,11 @@ impl StreamingDownconverter {
     /// Appends input audio, pushing every newly complete baseband sample
     /// onto `out`.
     pub fn push(&mut self, samples: &[f64], out: &mut Vec<Complex>) {
+        // Compaction below keeps the live tail short, so a large chunk
+        // reserves just what it needs: doubling would leave the next chunk's
+        // worth of never-used capacity resident in every stream. Small
+        // appends to a long buffer still grow geometrically.
+        self.buffer.reserve_exact(samples.len().max(self.buffer.len()));
         self.buffer.extend_from_slice(samples);
         self.total_in += samples.len();
         // Output k needs input samples up to k·factor + half inclusive.

@@ -17,7 +17,10 @@
 //!   FFT butterfly passes, the RealFFT split, clamped 1-D convolution, and
 //!   `axpy` perform *the same operations in the same per-element order* as
 //!   the reference; no FMA contraction, no reassociation. Min/max folds are
-//!   selections (no rounding), so they are bitwise on any association.
+//!   selections (no rounding), so they are bitwise on any association. The
+//!   3×3 median kernels select on integer `total_cmp` keys, so they are
+//!   bitwise against their select-based oracle for every input, NaN
+//!   included.
 //! * **1e-9** — reductions that use multiple accumulators for throughput
 //!   ([`fir_complex_dot`], [`envelope_charge`]) reassociate the sum and are
 //!   pinned to the reference within `1e-9` relative error.
@@ -518,6 +521,274 @@ pub(crate) fn conv1d_clamped_range(
             acc += kv * src[idx];
         }
         *o = acc;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 3×3 median (bitwise class)
+// ---------------------------------------------------------------------------
+//
+// The median of a clamped 3×3 window is computed over "columns"
+// (contiguous slices; the window's vertical axis runs along a slice, its
+// horizontal axis across three neighbouring slices). Each value is mapped
+// once to its `total_cmp` key, and each column's vertical clamped triples
+// `(x[r−1], x[r], x[r+1])` are sorted once into `lo | mid | hi` planes; a
+// sorted column serves the three output columns around it. The median of
+// three sorted triples is `med3(max(lo), med3(mid), min(hi))`, taken as
+// branchless min/max selections.
+//
+// Keys compare as signed integers exactly like `f64::total_cmp`, and two
+// values have equal keys only if their bits are equal, so the result is
+// bitwise the oracle's `select_nth_unstable_by(total_cmp)` on every input,
+// NaN payloads, ±0.0, ±∞ and subnormals included.
+//
+// Three kernels share the sorted layout: `median3_sort_into` sorts one
+// column, `median3_merge_into` takes the median of three sorted columns,
+// and `median3_push_into` does both in one pass for a sliding window — it
+// sorts the newest column, emits the median of the window it completes,
+// and overwrites the oldest sorted column, so a stream keeps only two.
+
+/// The `f64::total_cmp` key of `x`: its bits as `i64` with every bit but
+/// the sign flipped when the sign is set, so signed integer order is
+/// `total_cmp` order. The map is an involution: applying it to a key gives
+/// back the value's bits.
+#[inline]
+fn total_order_key(x: f64) -> i64 {
+    flip_key(x.to_bits() as i64)
+}
+
+/// Inverse of [`total_order_key`] (the same bit map).
+#[inline]
+fn from_total_order_key(k: i64) -> f64 {
+    f64::from_bits(flip_key(k) as u64)
+}
+
+#[inline]
+fn flip_key(b: i64) -> i64 {
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// Row `r`'s vertical clamped triple of `col`, sorted, as keys.
+#[inline]
+fn sorted_triple(col: &[f64], r: usize) -> (i64, i64, i64) {
+    let a = total_order_key(col[r.saturating_sub(1)]);
+    let b = total_order_key(col[r]);
+    let c = total_order_key(col[(r + 1).min(col.len() - 1)]);
+    let (a, b) = (a.min(b), a.max(b));
+    let (b, c) = (b.min(c), b.max(c));
+    (a.min(b), a.max(b), c)
+}
+
+#[inline]
+fn med3(a: i64, b: i64, c: i64) -> i64 {
+    a.min(b).max(a.max(b).min(c))
+}
+
+/// Sorts the vertical clamped triples of `col` into `keys` as total-order
+/// keys, laid out as three planes of `col.len()`: `keys[..n]` the lows,
+/// `keys[n..2n]` the middles, `keys[2n..]` the highs, where row `r`'s
+/// triple is `(col[r−1], col[r], col[r+1])` with edge rows replicated.
+/// Bitwise (integer min/max only).
+// echolint: hot entry
+pub fn median3_sort_into(keys: &mut [i64], col: &[f64]) {
+    assert_eq!(keys.len(), 3 * col.len());
+    // SAFETY: each arm runs only when backend() has verified the matching
+    // CPU feature at runtime — exactly the contract the #[target_feature]
+    // lane functions require; the slices pass through unchanged, so the
+    // length assertion above keeps every lane access in bounds.
+    #[cfg(target_arch = "x86_64")]
+    match backend() {
+        Backend::Avx2 => return unsafe { x86::median3_sort_into_avx2(keys, col) },
+        Backend::Sse2 => return unsafe { x86::median3_sort_into_sse2(keys, col) },
+        _ => {}
+    }
+    median3_sort_into_ref(keys, col);
+}
+
+/// Scalar reference for [`median3_sort_into`] (also the NEON and forced
+/// scalar path).
+// echolint: hot entry
+pub fn median3_sort_into_ref(keys: &mut [i64], col: &[f64]) {
+    median3_sort_range(keys, col, 0, col.len());
+}
+
+/// [`median3_sort_into_ref`] over rows `[from, to)` only — the SIMD
+/// implementations reuse it for the two clamped edge rows and the tail.
+// echolint: hot entry
+pub(crate) fn median3_sort_range(keys: &mut [i64], col: &[f64], from: usize, to: usize) {
+    let n = col.len();
+    for r in from..to {
+        let (lo, mid, hi) = sorted_triple(col, r);
+        keys[r] = lo;
+        keys[n + r] = mid;
+        keys[2 * n + r] = hi;
+    }
+}
+
+/// The 3×3 median of three sorted columns (each laid out as
+/// [`median3_sort_into`] writes it): `out[r] = med3(max(lo), med3(mid),
+/// min(hi))` over the three columns' row-`r` triples, mapped back from key
+/// to value. Pass the same column twice to replicate an edge. Bitwise
+/// (selections only).
+// echolint: hot entry
+pub fn median3_merge_into(out: &mut [f64], left: &[i64], center: &[i64], right: &[i64]) {
+    assert_eq!(left.len(), 3 * out.len());
+    assert_eq!(center.len(), 3 * out.len());
+    assert_eq!(right.len(), 3 * out.len());
+    // SAFETY: each arm runs only when backend() has verified the matching
+    // CPU feature at runtime — exactly the contract the #[target_feature]
+    // lane functions require; the slices pass through unchanged, so the
+    // length assertions above keep every lane access in bounds.
+    #[cfg(target_arch = "x86_64")]
+    match backend() {
+        Backend::Avx2 => return unsafe { x86::median3_merge_into_avx2(out, left, center, right) },
+        Backend::Sse2 => return unsafe { x86::median3_merge_into_sse2(out, left, center, right) },
+        _ => {}
+    }
+    median3_merge_into_ref(out, left, center, right);
+}
+
+/// Scalar reference for [`median3_merge_into`] (also the NEON and forced
+/// scalar path).
+// echolint: hot entry
+pub fn median3_merge_into_ref(out: &mut [f64], left: &[i64], center: &[i64], right: &[i64]) {
+    median3_merge_range(out, left, center, right, 0, out.len());
+}
+
+/// [`median3_merge_into_ref`] over rows `[from, to)` only — the SIMD tail.
+// echolint: hot entry
+pub(crate) fn median3_merge_range(
+    out: &mut [f64],
+    left: &[i64],
+    center: &[i64],
+    right: &[i64],
+    from: usize,
+    to: usize,
+) {
+    let n = out.len();
+    for r in from..to {
+        let lo = left[r].max(center[r]).max(right[r]);
+        let mid = med3(left[n + r], center[n + r], right[n + r]);
+        let hi = left[2 * n + r].min(center[2 * n + r]).min(right[2 * n + r]);
+        out[r] = from_total_order_key(med3(lo, mid, hi));
+    }
+}
+
+/// One step of a sliding 3×3 median: sorts `col`'s vertical triples,
+/// writes the median of the window `older | newer | col` (sorted columns
+/// laid out as [`median3_sort_into`] writes them) into `out`, and replaces
+/// `older` with `col`'s sorted triples — bitwise
+/// `median3_sort_into(s, col); median3_merge_into(out, older, newer, s);
+/// older.copy_from_slice(s)`, without the third buffer.
+// echolint: hot entry
+pub fn median3_push_into(out: &mut [f64], older: &mut [i64], newer: &[i64], col: &[f64]) {
+    assert_eq!(col.len(), out.len());
+    assert_eq!(older.len(), 3 * out.len());
+    assert_eq!(newer.len(), 3 * out.len());
+    // SAFETY: each arm runs only when backend() has verified the matching
+    // CPU feature at runtime — exactly the contract the #[target_feature]
+    // lane functions require; the slices pass through unchanged, so the
+    // length assertions above keep every lane access in bounds.
+    #[cfg(target_arch = "x86_64")]
+    match backend() {
+        Backend::Avx2 => return unsafe { x86::median3_push_into_avx2(out, older, newer, col) },
+        Backend::Sse2 => return unsafe { x86::median3_push_into_sse2(out, older, newer, col) },
+        _ => {}
+    }
+    median3_push_into_ref(out, older, newer, col);
+}
+
+/// Scalar reference for [`median3_push_into`] (also the NEON and forced
+/// scalar path).
+// echolint: hot entry
+pub fn median3_push_into_ref(out: &mut [f64], older: &mut [i64], newer: &[i64], col: &[f64]) {
+    median3_push_range(out, older, newer, col, 0, out.len());
+}
+
+/// [`median3_push_into_ref`] over rows `[from, to)` only — the SIMD edge
+/// rows and tail. Row `r` reads `col[r−1 ..= r+1]` but writes only row `r`
+/// of `older`, so rows are independent.
+// echolint: hot entry
+pub(crate) fn median3_push_range(
+    out: &mut [f64],
+    older: &mut [i64],
+    newer: &[i64],
+    col: &[f64],
+    from: usize,
+    to: usize,
+) {
+    let n = out.len();
+    for r in from..to {
+        let (lo3, mid3, hi3) = sorted_triple(col, r);
+        let lo = older[r].max(newer[r]).max(lo3);
+        let mid = med3(older[n + r], newer[n + r], mid3);
+        let hi = older[2 * n + r].min(newer[2 * n + r]).min(hi3);
+        out[r] = from_total_order_key(med3(lo, mid, hi));
+        older[r] = lo3;
+        older[n + r] = mid3;
+        older[2 * n + r] = hi3;
+    }
+}
+
+/// Recovers the column [`median3_sort_into`] sorted into `keys`: row 0's
+/// triple is `(x0, x0, x1)`, so its middle is `x0` and its other value
+/// `x1`; every later triple `(x[r−1], x[r], x[r+1])` gives `x[r+1]` once the
+/// two known values are taken out. Bitwise. A sorted column is therefore
+/// the only copy a stream needs to keep.
+pub fn median3_unsort_into(col: &mut [f64], keys: &[i64]) {
+    let n = col.len();
+    assert_eq!(keys.len(), 3 * n);
+    let (lo, rest) = keys.split_at(n);
+    let (mid, hi) = rest.split_at(n);
+    // (x[r], x[r+1]), starting from row 0's triple.
+    let mut known = match (lo.first(), mid.first(), hi.first()) {
+        (Some(&l), Some(&m), Some(&h)) => (m, if l == m { h } else { l }),
+        _ => return,
+    };
+    for r in 0..n {
+        col[r] = from_total_order_key(known.0);
+        let t = r + 1;
+        let next = if t + 1 < n {
+            // Triple t is (x[t−1], x[t], x[t+1]): drop the two known values.
+            let (a, b) = if lo[t] == known.0 {
+                (mid[t], hi[t])
+            } else if mid[t] == known.0 {
+                (lo[t], hi[t])
+            } else {
+                (lo[t], mid[t])
+            };
+            if a == known.1 {
+                b
+            } else {
+                a
+            }
+        } else {
+            known.1
+        };
+        known = (known.1, next);
+    }
+}
+
+/// The oracle for the median kernels: for each row `r`, the median under
+/// `f64::total_cmp` of the nine values `left|center|right[r−1 ..= r+1]`
+/// (rows clamped to the slice), by `select_nth_unstable_by` on the
+/// gathered window. `median3_merge_into` of the three columns'
+/// `median3_sort_into` keys equals it bitwise.
+pub fn median3x3_into_ref(out: &mut [f64], left: &[f64], center: &[f64], right: &[f64]) {
+    let n = out.len();
+    assert_eq!(left.len(), n);
+    assert_eq!(center.len(), n);
+    assert_eq!(right.len(), n);
+    let mut window = [0.0f64; 9];
+    for r in 0..n {
+        let rows = [r.saturating_sub(1), r, (r + 1).min(n - 1)];
+        for (i, &rr) in rows.iter().enumerate() {
+            window[3 * i] = left[rr];
+            window[3 * i + 1] = center[rr];
+            window[3 * i + 2] = right[rr];
+        }
+        let (_, m, _) = window.select_nth_unstable_by(4, |a, b| a.total_cmp(b));
+        out[r] = *m;
     }
 }
 

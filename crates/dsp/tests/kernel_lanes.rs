@@ -242,3 +242,207 @@ fn elementwise_kernels_match_ref_at_every_small_length() {
         );
     }
 }
+
+// ---------- 3×3 median (bitwise against the select_nth oracle) ----------
+
+/// Every class `f64::total_cmp` orders specially — NaN payloads of both
+/// signs, ±0.0, ±∞, subnormals, the extremes — plus repeated values so
+/// windows are full of ties, and values sharing their high 32 bits whose
+/// low halves differ in the top bit (where a 64-bit compare built from
+/// 32-bit halves must treat the low half as unsigned).
+fn median_pool() -> Vec<f64> {
+    vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN payload
+        f64::from_bits(0xfff8_dead_beef_0001), // negative quiet NaN payload
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1), // smallest subnormal
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1.0,
+        1.0,
+        -1.0,
+        2.5,
+        2.5,
+        f64::from_bits(0x3ff0_0000_8000_0000),
+        f64::from_bits(0x3ff0_0000_7fff_ffff),
+        f64::from_bits(0xbff0_0000_8000_0000),
+        f64::from_bits(0xbff0_0000_7fff_ffff),
+    ]
+}
+
+/// Row counts for the median: 1, 2, 3, odd band widths, and lane-width ± 1
+/// for every backend.
+fn median_rows() -> Vec<usize> {
+    let mut rs = vec![1, 2, 3, 5, 7, 9, 13, 33];
+    for lane in [2usize, 4] {
+        rs.extend([lane - 1, lane, lane + 1, 2 * lane + 1]);
+    }
+    rs.sort_unstable();
+    rs.dedup();
+    rs
+}
+
+/// Runs a session of `cols` columns (`rows` each) through the median
+/// kernels — dispatched and the scalar `_ref`s — and compares every output
+/// column bitwise with the oracle: once with three freshly sorted columns
+/// per output (`median3_sort_into` + `median3_merge_into`, as the batch
+/// filter's edges), once as a stream keeping two sorted columns
+/// (`median3_push_into` for interior columns). Sessions of one or two
+/// columns clamp both horizontal edges. Every sorted column must also
+/// unsort back to its values.
+#[track_caller]
+fn check_median_session(columns: &[Vec<f64>], what: &str) {
+    let cols = columns.len();
+    let rows = columns[0].len();
+    let mut oracle = vec![vec![0.0; rows]; cols];
+    for (c, o) in oracle.iter_mut().enumerate() {
+        let (l, r) = (c.saturating_sub(1), (c + 1).min(cols - 1));
+        kernels::median3x3_into_ref(o, &columns[l], &columns[c], &columns[r]);
+    }
+    for fast in [true, false] {
+        let lane = if fast { kernels::backend().name() } else { "ref" };
+        let label = |c: usize| format!("{what} [{lane}] rows={rows} cols={cols} col {c}");
+        let sort = |col: &[f64]| {
+            let mut keys = vec![0i64; 3 * rows];
+            if fast {
+                kernels::median3_sort_into(&mut keys, col);
+            } else {
+                kernels::median3_sort_into_ref(&mut keys, col);
+            }
+            keys
+        };
+        let merge = |out: &mut [f64], l: &[i64], m: &[i64], r: &[i64]| {
+            if fast {
+                kernels::median3_merge_into(out, l, m, r);
+            } else {
+                kernels::median3_merge_into_ref(out, l, m, r);
+            }
+        };
+        let sorted: Vec<Vec<i64>> = columns.iter().map(|c| sort(c)).collect();
+        for (c, keys) in sorted.iter().enumerate() {
+            let mut back = vec![0.0; rows];
+            kernels::median3_unsort_into(&mut back, keys);
+            assert_bits(&back, &columns[c], &format!("unsort {}", label(c)));
+        }
+        // Three sorted columns per output.
+        for c in 0..cols {
+            let (l, r) = (c.saturating_sub(1), (c + 1).min(cols - 1));
+            let mut got = vec![0.0; rows];
+            merge(&mut got, &sorted[l], &sorted[c], &sorted[r]);
+            assert_bits(&got, &oracle[c], &label(c));
+        }
+        // A stream: column i's sorted triples in slot i % 2.
+        let mut slots = [sort(&columns[0]), vec![0i64; 3 * rows]];
+        for c in 0..cols {
+            let mut got = vec![0.0; rows];
+            if c == 0 || c + 1 == cols {
+                if c + 1 < cols {
+                    slots[1] = sort(&columns[1]);
+                }
+                let (l, r) = (c.saturating_sub(1) % 2, (c + 1).min(cols - 1) % 2);
+                merge(&mut got, &slots[l], &slots[c % 2], &slots[r]);
+            } else {
+                let [a, b] = &mut slots;
+                let (older, newer) = if c % 2 == 0 { (b, &*a) } else { (a, &*b) };
+                if fast {
+                    kernels::median3_push_into(&mut got, older, newer, &columns[c + 1]);
+                } else {
+                    kernels::median3_push_into_ref(&mut got, older, newer, &columns[c + 1]);
+                }
+            }
+            assert_bits(&got, &oracle[c], &format!("stream {}", label(c)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn median3_matches_oracle_on_adversarial_columns(
+        picks in prop::collection::vec(0usize..24, 4 * 33),
+        cols in 1usize..5,
+    ) {
+        let pool = median_pool();
+        for rows in median_rows() {
+            let columns: Vec<Vec<f64>> = (0..cols)
+                .map(|c| (0..rows).map(|r| pool[picks[c * 33 + r] % pool.len()]).collect())
+                .collect();
+            check_median_session(&columns, "adversarial");
+        }
+    }
+
+    #[test]
+    fn median3_matches_oracle_on_random_columns(
+        x in sig(), y in sig(), z in sig(), cols in 1usize..4
+    ) {
+        let src = [&x, &y, &z];
+        for rows in median_rows() {
+            let columns: Vec<Vec<f64>> = (0..cols).map(|c| src[c][..rows].to_vec()).collect();
+            check_median_session(&columns, "random");
+        }
+    }
+}
+
+/// Tie-saturated windows: columns drawn only from `{+0.0, −0.0}` (equal
+/// under `==`, distinct under `total_cmp`) and from one NaN payload pair.
+#[test]
+fn median3_resolves_signed_zero_and_nan_ties_bitwise() {
+    for pair in [[0.0, -0.0], [f64::NAN, -f64::NAN]] {
+        for rows in median_rows() {
+            for cols in 1..=4usize {
+                for mask in 0u32..16 {
+                    let columns: Vec<Vec<f64>> = (0..cols)
+                        .map(|c| {
+                            (0..rows)
+                                .map(|r| pair[((mask >> ((r + c) % 4)) & 1) as usize])
+                                .collect()
+                        })
+                        .collect();
+                    check_median_session(&columns, "ties");
+                }
+            }
+        }
+    }
+}
+
+/// The median lanes under every backend the host can run: this binary
+/// re-runs the adversarial tests in a child process per `ECHOWRITE_SIMD`
+/// value (the backend is fixed once per process), so the SSE2 lane is
+/// exercised on AVX2 hosts too. Requests the hardware cannot honour
+/// degrade to the best supported backend, which is then simply re-checked.
+#[test]
+fn median3_lanes_match_oracle_under_every_backend() {
+    if std::env::var_os("ECHOWRITE_MEDIAN_CHILD").is_some() {
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    for simd in ["scalar", "sse2", "avx2", "neon"] {
+        for test in [
+            "median3_matches_oracle_on_adversarial_columns",
+            "median3_resolves_signed_zero_and_nan_ties_bitwise",
+        ] {
+            let out = std::process::Command::new(&exe)
+                .args(["--exact", test, "--test-threads", "1"])
+                .env("ECHOWRITE_SIMD", simd)
+                .env("ECHOWRITE_MEDIAN_CHILD", "1")
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "ECHOWRITE_SIMD={simd} {test} failed:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+}

@@ -1205,6 +1205,7 @@ impl Worker {
             }
         } else {
             let _ = self.events.send(ServeEvent::Reaped { session: SessionId(id) });
+            self.metrics.suspend_store_errors.inc();
             self.metrics.sessions_reaped.inc();
             if echowrite_trace::enabled() {
                 echowrite_trace::instant(
@@ -1952,6 +1953,63 @@ mod tests {
         let _ = m.finish(busy);
         m.quiesce();
         assert_eq!(m.live_sessions(), 0, "admission accounting balanced across suspend/thaw");
+    }
+
+    /// A store whose writes always fail (a full disk, say).
+    #[derive(Debug)]
+    struct FailingStore;
+
+    impl SnapshotStore for FailingStore {
+        fn put(&self, _: u64, _: Vec<u8>) -> Result<(), echowrite_snapshot::StoreError> {
+            Err(echowrite_snapshot::StoreError::Io(std::io::Error::other("disk full")))
+        }
+        fn remove(&self, _: u64) -> Result<Option<Vec<u8>>, echowrite_snapshot::StoreError> {
+            Ok(None)
+        }
+        fn contains(&self, _: u64) -> Result<bool, echowrite_snapshot::StoreError> {
+            Ok(false)
+        }
+        fn sessions(&self) -> Result<Vec<u64>, echowrite_snapshot::StoreError> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A suspend whose store write fails reaps the session — the client
+    /// gets `Reaped` — and is counted as a store error, not a suspend.
+    #[test]
+    fn failed_suspend_counts_store_error_and_reaps() {
+        let m = SessionManager::with_snapshot_store(
+            snap_engine(),
+            ServeConfig {
+                shards: Parallelism::Threads(1),
+                idle_timeout_samples: Some(10_000),
+                reap_policy: ReapPolicy::SuspendToStore,
+                ..ServeConfig::default()
+            },
+            Arc::new(FailingStore),
+        )
+        .expect("valid suspend config");
+        let (idle, busy) = (SessionId(1), SessionId(2));
+        let _ = m.open(idle);
+        let _ = m.open(busy);
+        assert_eq!(m.push(idle, &[0.0; 1024]), SubmitVerdict::Enqueued);
+        age_past_reap(&m, busy);
+        let mut events = Vec::new();
+        m.try_events(&mut events);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, ServeEvent::Reaped { session } if *session == idle)),
+            "the client must hear Reaped; events: {events:?}"
+        );
+        let snap = m.metrics().snapshot();
+        assert_eq!(snap.suspend_store_errors, 1);
+        assert_eq!(snap.sessions_suspended, 0);
+        assert_eq!(snap.sessions_reaped, 1);
+        let text = m.metrics().to_prometheus();
+        assert!(text.contains("echowrite_serve_suspend_store_errors_total 1"), "{text}");
+        let _ = m.finish(busy);
+        m.quiesce();
     }
 
     /// Tentpole: `export_session`/`import_session` migrate a mid-word

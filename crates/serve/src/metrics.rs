@@ -44,6 +44,9 @@ pub struct ServeMetrics {
     /// Sessions suspended into the snapshot store (reaper eviction,
     /// explicit export, or a shutdown drain).
     pub sessions_suspended: Counter,
+    /// Suspends whose snapshot-store write failed; each such session was
+    /// reaped instead (and is also counted in `sessions_reaped`).
+    pub suspend_store_errors: Counter,
     /// Sessions resumed from the snapshot store (a thaw on `Open`/`Push`/
     /// `Finish`, or an explicit import).
     pub sessions_resumed: Counter,
@@ -108,6 +111,7 @@ impl ServeMetrics {
             sessions_finished: Counter::default(),
             sessions_reaped: Counter::default(),
             sessions_suspended: Counter::default(),
+            suspend_store_errors: Counter::default(),
             sessions_resumed: Counter::default(),
             sessions_reopened: Counter::default(),
             sessions_shed: Counter::default(),
@@ -147,6 +151,7 @@ impl ServeMetrics {
             sessions_finished: self.sessions_finished.get(),
             sessions_reaped: self.sessions_reaped.get(),
             sessions_suspended: self.sessions_suspended.get(),
+            suspend_store_errors: self.suspend_store_errors.get(),
             sessions_resumed: self.sessions_resumed.get(),
             sessions_reopened: self.sessions_reopened.get(),
             sessions_shed: self.sessions_shed.get(),
@@ -192,6 +197,8 @@ pub struct MetricsSnapshot {
     pub sessions_reaped: u64,
     /// Sessions suspended into the snapshot store.
     pub sessions_suspended: u64,
+    /// Suspends whose snapshot-store write failed (reaped instead).
+    pub suspend_store_errors: u64,
     /// Sessions resumed from the snapshot store.
     pub sessions_resumed: u64,
     /// Idempotent re-opens of an already-live session id.
@@ -255,7 +262,7 @@ impl MetricsSnapshot {
             "Build metadata for the serving layer.",
             &[("crate", "echowrite-serve"), ("version", env!("CARGO_PKG_VERSION"))],
         );
-        let counters: [(&str, &str, u64); 21] = [
+        let counters: [(&str, &str, u64); 22] = [
             (
                 "echowrite_serve_sessions_opened_total",
                 "Sessions admitted and opened.",
@@ -275,6 +282,11 @@ impl MetricsSnapshot {
                 "echowrite_serve_sessions_suspended_total",
                 "Sessions suspended into the snapshot store.",
                 self.sessions_suspended,
+            ),
+            (
+                "echowrite_serve_suspend_store_errors_total",
+                "Suspends whose snapshot-store write failed; the session was reaped instead.",
+                self.suspend_store_errors,
             ),
             (
                 "echowrite_serve_sessions_resumed_total",
@@ -491,6 +503,7 @@ mod tests {
         for family in [
             "echowrite_serve_sessions_opened_total",
             "echowrite_serve_sessions_suspended_total",
+            "echowrite_serve_suspend_store_errors_total",
             "echowrite_serve_sessions_resumed_total",
             "echowrite_serve_sessions_reopened_total",
             "echowrite_serve_sessions_shed_total",

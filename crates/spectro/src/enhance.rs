@@ -12,8 +12,6 @@ use crate::spectrogram::Spectrogram;
 /// calibrated so that finger-echo magnitudes sit well above it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnhanceConfig {
-    /// Median filter size (paper: 3 → 3×3).
-    pub median_size: usize,
     /// Number of initial static frames averaged for spectral subtraction
     /// (paper: 5).
     pub static_frames: usize,
@@ -53,10 +51,13 @@ pub enum Normalization {
 }
 
 impl EnhanceConfig {
+    /// Median filter size: the paper's 3×3, fixed (the kernel in
+    /// `echowrite_dsp::kernels` is specialised to it).
+    pub const MEDIAN_SIZE: usize = 3;
+
     /// The paper's parameter set.
     pub fn paper() -> Self {
         EnhanceConfig {
-            median_size: 3,
             static_frames: 5,
             alpha: 8.0,
             gaussian_size: 5,
@@ -93,12 +94,9 @@ impl EnhanceConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message if filter sizes are even/zero or thresholds are
-    /// out of range.
+    /// Returns a message if the Gaussian size is even/zero or thresholds
+    /// are out of range.
     pub fn validate(&self) -> Result<(), String> {
-        if self.median_size.is_multiple_of(2) || self.median_size == 0 {
-            return Err(format!("median_size must be odd, got {}", self.median_size));
-        }
         if self.gaussian_size.is_multiple_of(2) || self.gaussian_size == 0 {
             return Err(format!("gaussian_size must be odd, got {}", self.gaussian_size));
         }
@@ -195,7 +193,7 @@ impl Enhancer {
         if spec.cols() == 0 {
             return spec.clone();
         }
-        let mut work = image::median_filter_2d(spec, c.median_size);
+        let mut work = image::median_filter_2d(spec);
         match background {
             Some(bg) => image::subtract_background_in_place(&mut work, bg),
             None => {
@@ -229,7 +227,7 @@ impl Enhancer {
         if spec.cols() == 0 {
             return None;
         }
-        let median = image::median_filter_2d(spec, self.config.median_size);
+        let median = image::median_filter_2d(spec);
         let n = self.config.static_frames.min(spec.cols());
         Some(image::row_means(&median, n))
     }
@@ -260,7 +258,7 @@ impl Enhancer {
                 binary: raw,
             };
         }
-        let median = image::median_filter_2d(&raw, c.median_size);
+        let median = image::median_filter_2d(&raw);
         let subtracted = match background {
             Some(bg) => image::subtract_background(&median, bg),
             None => {
@@ -330,9 +328,6 @@ mod tests {
     #[test]
     fn validation_rejects_bad_configs() {
         let mut c = EnhanceConfig::paper();
-        c.median_size = 4;
-        assert!(c.validate().is_err());
-        let mut c = EnhanceConfig::paper();
         c.gaussian_size = 0;
         assert!(c.validate().is_err());
         let mut c = EnhanceConfig::paper();
@@ -356,7 +351,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid enhancement config")]
     fn enhancer_panics_on_bad_config() {
-        Enhancer::new(EnhanceConfig { median_size: 2, ..EnhanceConfig::paper() });
+        Enhancer::new(EnhanceConfig { gaussian_size: 2, ..EnhanceConfig::paper() });
     }
 
     #[test]

@@ -7,53 +7,44 @@
 
 use crate::spectrogram::Spectrogram;
 use echowrite_dsp::filters::gaussian_kernel;
+use echowrite_dsp::kernels;
 
-/// Applies a `size`×`size` median filter (edges replicate).
+/// Applies the paper's 3×3 median filter (edges replicate).
 ///
-/// Interior pixels gather their window by direct row-slice copies and the
-/// median is found with a partial selection instead of a full sort; the
-/// output is element-for-element identical to the straightforward
-/// gather-and-sort definition.
-///
-/// # Panics
-///
-/// Panics if `size` is even or zero.
-pub fn median_filter_2d(src: &Spectrogram, size: usize) -> Spectrogram {
-    assert!(size % 2 == 1 && size > 0, "median size must be odd, got {size}");
-    let half = size / 2;
+/// Runs the [`echowrite_dsp::kernels`] median with the image's rows as the
+/// kernel's columns: a clamped 3×3 window holds the same nine values
+/// whichever axis is called vertical, so each row's sorted horizontal
+/// triples are computed once and serve the three output rows around it,
+/// two rows of them live at a time. The output is bitwise the median under
+/// `f64::total_cmp` of each gathered window.
+pub fn median_filter_2d(src: &Spectrogram) -> Spectrogram {
     let (rows, cols) = (src.rows(), src.cols());
     let mut out = src.clone();
-    if cols == 0 {
+    if rows == 0 || cols == 0 {
         return out;
     }
     let data = src.data();
-    let mut window = vec![0.0f64; size * size];
-    let mid = (size * size) / 2;
-    for r in 0..rows {
-        for c in 0..cols {
-            if r >= half && r + half < rows && c >= half && c + half < cols {
-                // Interior: the window is `size` contiguous row slices.
-                for dr in 0..size {
-                    let base = (r - half + dr) * cols + (c - half);
-                    window[dr * size..(dr + 1) * size]
-                        .copy_from_slice(&data[base..base + size]);
-                }
-            } else {
-                // Border: replicate edges via clamping.
-                let mut n = 0;
-                for dr in -(half as isize)..=half as isize {
-                    let rr = (r as isize + dr).clamp(0, rows as isize - 1) as usize;
-                    for dc in -(half as isize)..=half as isize {
-                        let cc = (c as isize + dc).clamp(0, cols as isize - 1) as usize;
-                        window[n] = data[rr * cols + cc];
-                        n += 1;
-                    }
-                }
-            }
-            let (_, m, _) = window.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-            out.set(r, c, *m);
-        }
+    let row = |r: usize| &data[r * cols..(r + 1) * cols];
+    let out_row = |r: usize| r * cols..(r + 1) * cols;
+    // Row i's sorted triples live in slot i % 2.
+    let mut slots = vec![0i64; 2 * 3 * cols];
+    let (even, odd) = slots.split_at_mut(3 * cols);
+    kernels::median3_sort_into(even, row(0));
+    if rows == 1 {
+        kernels::median3_merge_into(&mut out.data_mut()[out_row(0)], even, even, even);
+        return out;
     }
+    kernels::median3_sort_into(odd, row(1));
+    let out_data = out.data_mut();
+    kernels::median3_merge_into(&mut out_data[out_row(0)], even, even, odd);
+    for r in 1..rows - 1 {
+        // Window rows r−1 | r | r+1: the oldest slot takes row r+1.
+        let (older, newer) = if r % 2 == 1 { (&mut *even, &*odd) } else { (&mut *odd, &*even) };
+        kernels::median3_push_into(&mut out_data[out_row(r)], older, newer, row(r + 1));
+    }
+    let last = rows - 1;
+    let (older, newer) = if last % 2 == 1 { (&*even, &*odd) } else { (&*odd, &*even) };
+    kernels::median3_merge_into(&mut out_data[out_row(last)], older, newer, newer);
     out
 }
 
@@ -308,8 +299,46 @@ mod tests {
             &[0.0, 9.0, 0.0],
             &[0.0, 0.0, 0.0],
         ]);
-        let f = median_filter_2d(&s, 3);
+        let f = median_filter_2d(&s);
         assert_eq!(f.get(1, 1), 0.0);
+    }
+
+    /// Every shape from 1×1 up, edge rows and columns included, against
+    /// gathering each clamped window and selecting its median under
+    /// `total_cmp` — with signed zeros, NaNs, infinities and ties.
+    #[test]
+    fn median_equals_gather_and_select_bitwise() {
+        let pool = [0.0, -0.0, 1.0, 1.0, -2.5, f64::NAN, -f64::NAN, f64::INFINITY, 7.0, 3.0];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for rows in 1..=6usize {
+            for cols in 1..=6usize {
+                let mut s = Spectrogram::zeros(rows, cols);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        s.set(r, c, pool[(state % pool.len() as u64) as usize]);
+                    }
+                }
+                let f = median_filter_2d(&s);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let mut w = [0.0f64; 9];
+                        for (i, dr) in [-1isize, 0, 1].iter().enumerate() {
+                            for (j, dc) in [-1isize, 0, 1].iter().enumerate() {
+                                let rr = (r as isize + dr).clamp(0, rows as isize - 1) as usize;
+                                let cc = (c as isize + dc).clamp(0, cols as isize - 1) as usize;
+                                w[3 * i + j] = s.get(rr, cc);
+                            }
+                        }
+                        let (_, m, _) = w.select_nth_unstable_by(4, |a, b| a.total_cmp(b));
+                        let got = f.get(r, c).to_bits();
+                        assert_eq!(got, m.to_bits(), "{rows}×{cols} at ({r}, {c})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -319,15 +348,9 @@ mod tests {
             &[5.0, 5.0, 5.0, 0.0],
             &[5.0, 5.0, 5.0, 0.0],
         ]);
-        let f = median_filter_2d(&s, 3);
+        let f = median_filter_2d(&s);
         assert_eq!(f.get(1, 1), 5.0);
         assert_eq!(f.get(0, 0), 5.0); // replicate edges keep the block
-    }
-
-    #[test]
-    #[should_panic(expected = "odd")]
-    fn median_rejects_even_size() {
-        median_filter_2d(&Spectrogram::zeros(2, 2), 2);
     }
 
     #[test]

@@ -27,10 +27,18 @@
 use crate::enhance::{EnhanceConfig, Normalization};
 use crate::spectrogram::Spectrogram;
 use echowrite_dsp::filters::gaussian_kernel;
+use echowrite_dsp::kernels;
 use std::collections::VecDeque;
+
+/// Half-width of the 3×3 median window.
+const MHALF: usize = EnhanceConfig::MEDIAN_SIZE / 2;
 
 /// Streaming counterpart of [`Enhancer`](crate::Enhancer): push raw ROI
 /// columns, receive finished binary columns, batch-equivalent bitwise.
+///
+/// Every buffer is sized at construction, so pushing a column allocates
+/// nothing; only the hole filler's union-find arena, frontier and
+/// undecided-run queue grow, and only past their high-water marks.
 ///
 /// # Example
 ///
@@ -50,23 +58,30 @@ pub struct IncrementalEnhancer {
     binarize_at: f64,
     kernel: Vec<f64>,
     ghalf: usize,
-    mhalf: usize,
-    /// Raw columns retained for the median window.
-    raw: ColStore,
+    /// Sorted vertical triples (`kernels::median3_sort_into` layout) of the
+    /// two newest raw columns, column `i` in slot `i % 2`: the median
+    /// window's retained raw columns `[med_n − 1, raw_n)`, which
+    /// `kernels::median3_unsort_into` recovers for state export.
+    sorted: Vec<i64>,
     /// Raw columns received.
     raw_n: usize,
     /// Median columns finalized.
     med_n: usize,
-    /// Median columns buffered until the background freezes.
-    pre_bg: Vec<Vec<f64>>,
-    background: Option<Vec<f64>>,
-    /// Subtracted+thresholded columns retained for the Gaussian window.
-    thr: ColStore,
+    /// Median columns awaiting the Gaussian window. Before the background
+    /// freezes it holds the `pre_n` lead-in columns (from column 0); after,
+    /// the subtracted+thresholded columns `[h_n − ghalf, thr_n)`.
+    cols: ColRing,
+    pre_n: usize,
+    /// Thresholded columns produced.
     thr_n: usize,
+    /// The frozen per-row static background (meaningful once `frozen`).
+    background: Vec<f64>,
+    frozen: bool,
     /// Columns fully smoothed, binarized, and handed to hole filling.
     h_n: usize,
     holes: HoleFiller,
-    med_window: Vec<f64>,
+    /// Scratch: the horizontal Gaussian pass of one column.
+    hcol: Vec<f64>,
     finished: bool,
 }
 
@@ -97,23 +112,26 @@ impl IncrementalEnhancer {
         );
         let kernel = gaussian_kernel(cfg.gaussian_size, None);
         let ghalf = kernel.len() / 2;
-        let mhalf = cfg.median_size / 2;
+        // The lead-in holds up to `static_frames` columns; afterwards stage
+        // 2 runs after every thresholded column, so the Gaussian window
+        // never exceeds one kernel width.
+        let slots = cfg.static_frames.max(kernel.len());
         IncrementalEnhancer {
             binarize_at: cfg.binarize_threshold * scale,
             rows,
-            kernel,
-            ghalf,
-            mhalf,
-            raw: ColStore::default(),
+            sorted: vec![0; 2 * 3 * rows],
             raw_n: 0,
             med_n: 0,
-            pre_bg: Vec::new(),
-            background: None,
-            thr: ColStore::default(),
+            cols: ColRing::new(rows, slots),
+            pre_n: 0,
             thr_n: 0,
+            background: vec![0.0; rows],
+            frozen: false,
             h_n: 0,
             holes: HoleFiller::new(rows),
-            med_window: vec![0.0; cfg.median_size * cfg.median_size],
+            hcol: vec![0.0; rows],
+            kernel,
+            ghalf,
             cfg,
             finished: false,
         }
@@ -127,14 +145,14 @@ impl IncrementalEnhancer {
     /// Whether the static background has been frozen (the lead-in has
     /// completed or a warm reset carried one over).
     pub fn background_frozen(&self) -> bool {
-        self.background.is_some()
+        self.frozen
     }
 
     /// Restores the enhancer to its fresh state in place, reusing every
     /// allocation. The next session re-estimates the static background from
     /// its own opening frames.
     pub fn reset(&mut self) {
-        self.background = None;
+        self.frozen = false;
         self.reset_keeping_background();
     }
 
@@ -143,11 +161,10 @@ impl IncrementalEnhancer {
     /// its opening columns are subtracted against the carried-over
     /// background immediately instead of being buffered for estimation.
     pub fn reset_keeping_background(&mut self) {
-        self.raw.clear();
         self.raw_n = 0;
         self.med_n = 0;
-        self.pre_bg.clear();
-        self.thr.clear();
+        self.cols.clear();
+        self.pre_n = 0;
         self.thr_n = 0;
         self.h_n = 0;
         self.holes.reset();
@@ -165,32 +182,47 @@ impl IncrementalEnhancer {
     /// # Panics
     ///
     /// Panics if `raw.len() != rows` or the enhancer is already finished.
+    // echolint: hot
     pub fn push_column(&mut self, raw: &[f64], sink: &mut impl FnMut(usize, &[f64])) {
         assert!(!self.finished, "push_column after finish");
         assert_eq!(raw.len(), self.rows, "column length mismatch");
-        let mut col = Vec::with_capacity(self.rows);
-        col.extend_from_slice(raw);
-        self.raw.push(col);
+        let (frozen_before, out_before) = (self.frozen, self.columns_out());
+        let j = self.raw_n;
         self.raw_n += 1;
-        let (frozen_before, out_before) = (self.background.is_some(), self.columns_out());
+        if j >= 2 && self.med_n + MHALF == j {
+            // Steady state: column j completes median j − 1's window; one
+            // pass sorts it into the slot of column j − 2, which no later
+            // window reads.
+            let (older, newer) = sorted_pair(&mut self.sorted, j, self.rows);
+            kernels::median3_push_into(self.cols.push_slot(), older, newer, raw);
+            self.median_done(None, sink);
+        } else {
+            kernels::median3_sort_into(&mut self.sorted[sorted_slot(j, self.rows)], raw);
+        }
         self.advance(None, sink);
         if echowrite_trace::enabled() {
-            use echowrite_trace::{SmallStr, Stage, TICK_UNSET};
-            if !frozen_before && self.background.is_some() {
-                echowrite_trace::instant(
-                    Stage::Enhance,
-                    "background_frozen",
-                    TICK_UNSET,
-                    SmallStr::empty(),
-                );
-            }
-            echowrite_trace::counter(
+            self.trace_push(frozen_before, out_before);
+        }
+    }
+
+    /// Tracing for one push: the background freeze instant and the count
+    /// of columns it finalized.
+    fn trace_push(&self, frozen_before: bool, out_before: usize) {
+        use echowrite_trace::{SmallStr, Stage, TICK_UNSET};
+        if !frozen_before && self.frozen {
+            echowrite_trace::instant(
                 Stage::Enhance,
-                "columns_out",
+                "background_frozen",
                 TICK_UNSET,
-                (self.columns_out() - out_before) as f64,
+                SmallStr::empty(),
             );
         }
+        echowrite_trace::counter(
+            Stage::Enhance,
+            "columns_out",
+            TICK_UNSET,
+            (self.columns_out() - out_before) as f64,
+        );
     }
 
     /// Ends the session: flushes edge-clamped columns and closes every open
@@ -209,36 +241,86 @@ impl IncrementalEnhancer {
     }
 
     /// Runs every stage as far as finality allows; `total` is the session
-    /// column count once known (at finish).
+    /// column count once known (at finish). Besides the steady-state push,
+    /// a median is computed here only at the session's two edges: column 0
+    /// (left clamp) and, at finish, the last column (right clamp).
     fn advance(&mut self, total: Option<usize>, sink: &mut impl FnMut(usize, &[f64])) {
-        // Stage 1: median columns, then background freeze + subtraction + α.
         loop {
             let m = self.med_n;
             let computable = match total {
                 Some(t) => m < t,
-                // Column m clamps columns up to m + mhalf; final once the
+                // Column m clamps columns up to m + 1; final once the
                 // window's rightmost real column exists.
-                None => m + self.mhalf < self.raw_n,
+                None => m + MHALF < self.raw_n,
             };
             if !computable {
                 break;
             }
-            let col = self.median_column(m, total);
-            self.med_n += 1;
-            self.raw.trim_to(self.med_n.saturating_sub(self.mhalf));
-            if self.background.is_some() {
-                self.accept_median(col);
-            } else {
-                self.pre_bg.push(col);
-                let freeze = self.pre_bg.len() == self.cfg.static_frames
-                    || total == Some(self.med_n);
-                if freeze {
-                    self.freeze_background();
-                }
+            let right = (m + MHALF).min(total.unwrap_or(self.raw_n) - 1);
+            let rows = self.rows;
+            let l = sorted_slot(m.saturating_sub(MHALF), rows);
+            let (c, r) = (sorted_slot(m, rows), sorted_slot(right, rows));
+            kernels::median3_merge_into(
+                self.cols.push_slot(),
+                &self.sorted[l],
+                &self.sorted[c],
+                &self.sorted[r],
+            );
+            self.median_done(total, sink);
+        }
+        // Stage 2 up to the clamped right edge, once the total is known.
+        self.smooth_ready(total, sink);
+    }
+
+    /// Takes the median column just written to the ring's newest slot: the
+    /// background subtraction and α threshold once frozen, otherwise the
+    /// lead-in, freezing the background when it is complete.
+    fn median_done(&mut self, total: Option<usize>, sink: &mut impl FnMut(usize, &[f64])) {
+        self.med_n += 1;
+        if self.frozen {
+            self.threshold_next(sink);
+        } else {
+            self.pre_n += 1;
+            if self.pre_n == self.cfg.static_frames || total == Some(self.med_n) {
+                self.freeze_background(sink);
             }
         }
-        // Stage 2: Gaussian smoothing (two-column lookahead), binarization,
-        // and incremental hole filling.
+    }
+
+    /// Freezes the background as the per-row mean (ascending column order,
+    /// matching `row[..n].iter().sum()`) of the lead-in median columns,
+    /// then flushes them through subtraction and the α threshold in place.
+    fn freeze_background(&mut self, sink: &mut impl FnMut(usize, &[f64])) {
+        let n = self.pre_n;
+        debug_assert!(n > 0 && self.cols.base == 0);
+        for r in 0..self.rows {
+            let mut sum = 0.0;
+            for k in 0..n {
+                sum += self.cols.get(k)[r];
+            }
+            self.background[r] = sum / n as f64;
+        }
+        self.frozen = true;
+        self.pre_n = 0;
+        for _ in 0..n {
+            self.threshold_next(sink);
+        }
+    }
+
+    /// Background subtraction (clamped at zero) plus the α threshold on
+    /// median column `thr_n`, pointwise as in the offline chain, then
+    /// stage 2 as far as it can run.
+    fn threshold_next(&mut self, sink: &mut impl FnMut(usize, &[f64])) {
+        let col = self.cols.get_mut(self.thr_n);
+        kernels::subtract_clamp_bg(col, &self.background);
+        kernels::threshold_zero(col, self.cfg.alpha);
+        self.thr_n += 1;
+        self.smooth_ready(None, sink);
+    }
+
+    /// Stage 2: Gaussian smoothing (two-column lookahead), binarization,
+    /// and incremental hole filling for every column that is final.
+    fn smooth_ready(&mut self, total: Option<usize>, sink: &mut impl FnMut(usize, &[f64])) {
         loop {
             let c = self.h_n;
             let computable = match total {
@@ -248,95 +330,33 @@ impl IncrementalEnhancer {
             if !computable {
                 break;
             }
-            let col = self.smooth_binarize_column(c, total);
+            self.smooth_binarize_column(c, total);
             self.h_n += 1;
-            self.thr.trim_to(self.h_n.saturating_sub(self.ghalf));
-            self.holes.push_column(col, sink);
+            self.cols.trim_to(self.h_n.saturating_sub(self.ghalf));
+            self.holes.push_input(sink);
         }
-    }
-
-    /// Order-statistic median of the clamped window centred on column `m`,
-    /// identical to [`crate::image::median_filter_2d`].
-    fn median_column(&mut self, m: usize, total: Option<usize>) -> Vec<f64> {
-        let size = self.cfg.median_size;
-        let mid = (size * size) / 2;
-        let hi_col = match total {
-            Some(t) => t - 1,
-            None => self.raw_n - 1,
-        };
-        let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let mut n = 0;
-            for dr in -(self.mhalf as isize)..=self.mhalf as isize {
-                let rr = (r as isize + dr).clamp(0, self.rows as isize - 1) as usize;
-                for dc in -(self.mhalf as isize)..=self.mhalf as isize {
-                    let cc = (m as isize + dc).clamp(0, hi_col as isize) as usize;
-                    self.med_window[n] = self.raw.get(cc)[rr];
-                    n += 1;
-                }
-            }
-            let (_, v, _) = self.med_window.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-            out.push(*v);
-        }
-        out
-    }
-
-    /// Freezes the background as the per-row mean (ascending column order,
-    /// matching `row[..n].iter().sum()`) of the buffered median columns,
-    /// then flushes them through subtraction and the α threshold.
-    fn freeze_background(&mut self) {
-        let n = self.pre_bg.len();
-        debug_assert!(n > 0);
-        let mut bg = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let mut sum = 0.0;
-            for col in &self.pre_bg {
-                sum += col[r];
-            }
-            bg.push(sum / n as f64);
-        }
-        self.background = Some(bg);
-        let buffered = std::mem::take(&mut self.pre_bg);
-        for col in buffered {
-            self.accept_median(col);
-        }
-    }
-
-    /// Background subtraction (clamped at zero) plus the α threshold,
-    /// pointwise as in the offline chain.
-    fn accept_median(&mut self, mut col: Vec<f64>) {
-        debug_assert!(self.background.is_some());
-        if let Some(bg) = &self.background {
-            echowrite_dsp::kernels::subtract_clamp_bg(&mut col, bg);
-            echowrite_dsp::kernels::threshold_zero(&mut col, self.cfg.alpha);
-        }
-        self.thr.push(col);
-        self.thr_n += 1;
     }
 
     /// Horizontal then vertical Gaussian pass for column `c` (accumulation
     /// order identical to [`crate::image::gaussian_filter_2d_in_place`]),
-    /// then fixed-scale binarization.
-    fn smooth_binarize_column(&mut self, c: usize, total: Option<usize>) -> Vec<f64> {
-        let half = self.ghalf as isize;
-        let hi_col = total.map(|t| t as isize - 1);
+    /// then fixed-scale binarization, into the hole filler's input column.
+    fn smooth_binarize_column(&mut self, c: usize, total: Option<usize>) {
         // Horizontal pass as one axpy per tap: each element accumulates its
         // taps in ascending k from zero, exactly like the scalar per-row loop
         // (and the offline pass), so the result is bitwise identical.
-        let mut hcol = vec![0.0; self.rows];
+        self.hcol.fill(0.0);
         for (k, &kv) in self.kernel.iter().enumerate() {
-            let mut cc = (c as isize + k as isize - half).max(0);
-            if let Some(hi) = hi_col {
-                cc = cc.min(hi);
+            let mut cc = (c + k).saturating_sub(self.ghalf);
+            if let Some(t) = total {
+                cc = cc.min(t - 1);
             }
-            echowrite_dsp::kernels::axpy(&mut hcol, self.thr.get(cc as usize), kv);
+            kernels::axpy(&mut self.hcol, self.cols.get(cc), kv);
         }
         // Vertical pass: clamped convolution down the column, then the
         // fixed-scale binarization, both SIMD-dispatched.
-        let mut out = vec![0.0; self.rows];
-        echowrite_dsp::kernels::conv1d_clamped_into(&mut out, &hcol, &self.kernel);
-        echowrite_dsp::kernels::binarize(&mut out, self.binarize_at);
-        out
+        let out = self.holes.input_mut();
+        kernels::conv1d_clamped_into(out, &self.hcol, &self.kernel);
+        kernels::binarize(out, self.binarize_at);
     }
 
     /// Captures the dynamic state of this enhancer, detached from its
@@ -345,15 +365,28 @@ impl IncrementalEnhancer {
     /// [`IncrementalEnhancer::restore_state`], further pushes emit bitwise
     /// the same columns an uninterrupted enhancer would.
     pub fn export_state(&self) -> EnhancerState {
+        let raw_base = self.med_n.saturating_sub(MHALF);
+        let raw_cols = (raw_base..self.raw_n)
+            .map(|i| {
+                let mut col = vec![0.0; self.rows];
+                kernels::median3_unsort_into(&mut col, &self.sorted[sorted_slot(i, self.rows)]);
+                col
+            })
+            .collect();
+        let (pre_bg, thr_base, thr_cols) = if self.frozen {
+            (Vec::new(), self.cols.base, self.cols.columns(self.cols.base..self.thr_n))
+        } else {
+            (self.cols.columns(0..self.pre_n), 0, Vec::new())
+        };
         EnhancerState {
-            raw_base: self.raw.base,
-            raw_cols: self.raw.cols.iter().cloned().collect(),
+            raw_base,
+            raw_cols,
             raw_n: self.raw_n,
             med_n: self.med_n,
-            pre_bg: self.pre_bg.clone(),
-            background: self.background.clone(),
-            thr_base: self.thr.base,
-            thr_cols: self.thr.cols.iter().cloned().collect(),
+            pre_bg,
+            background: self.frozen.then(|| self.background.clone()),
+            thr_base,
+            thr_cols,
             thr_n: self.thr_n,
             h_n: self.h_n,
             holes: self.holes.export_state(),
@@ -387,28 +420,40 @@ impl IncrementalEnhancer {
                 return Err("enhancer state: lead-in buffer at or past the freeze point");
             }
         }
+        // Every stage runs as far as finality allows before a push returns,
+        // so an exported window is exactly the columns the next stage still
+        // reads; anything else is not a state this enhancer can reach.
         if state.raw_base + state.raw_cols.len() != state.raw_n
             || state.med_n > state.raw_n
-            || state.raw_base > state.med_n.saturating_sub(self.mhalf)
+            || state.raw_n > state.med_n + MHALF
+            || state.raw_base != state.med_n.saturating_sub(MHALF)
         {
             return Err("enhancer state: inconsistent raw column window");
         }
         if state.thr_base + state.thr_cols.len() != state.thr_n
             || state.h_n > state.thr_n
-            || state.thr_base > state.h_n.saturating_sub(self.ghalf)
+            || state.thr_n > state.h_n + self.ghalf
+            || state.thr_base != state.h_n.saturating_sub(self.ghalf)
         {
             return Err("enhancer state: inconsistent thresholded column window");
         }
         if state.h_n != state.holes.pushed {
             return Err("enhancer state: hole-filler input count mismatch");
         }
-        self.holes.restore_state(&state.holes, rows)?;
-        self.raw.restore(state.raw_base, &state.raw_cols);
+        self.holes.restore_state(&state.holes)?;
+        for (i, col) in (state.raw_base..).zip(&state.raw_cols) {
+            kernels::median3_sort_into(&mut self.sorted[sorted_slot(i, rows)], col);
+        }
         self.raw_n = state.raw_n;
         self.med_n = state.med_n;
-        self.pre_bg = state.pre_bg.clone();
-        self.background = state.background.clone();
-        self.thr.restore(state.thr_base, &state.thr_cols);
+        self.frozen = state.background.is_some();
+        if let Some(bg) = &state.background {
+            self.background.copy_from_slice(bg);
+            self.cols.restore(state.thr_base, &state.thr_cols);
+        } else {
+            self.cols.restore(0, &state.pre_bg);
+        }
+        self.pre_n = state.pre_bg.len();
         self.thr_n = state.thr_n;
         self.h_n = state.h_n;
         self.finished = state.finished;
@@ -416,12 +461,31 @@ impl IncrementalEnhancer {
     }
 }
 
+/// Where raw column `i`'s sorted triples live in
+/// [`IncrementalEnhancer`]'s two-slot `sorted` buffer.
+fn sorted_slot(i: usize, rows: usize) -> std::ops::Range<usize> {
+    let width = 3 * rows;
+    (i % 2) * width..(i % 2 + 1) * width
+}
+
+/// The slot of column `j − 2` (to be overwritten by column `j`) and the
+/// slot of column `j − 1`.
+fn sorted_pair(sorted: &mut [i64], j: usize, rows: usize) -> (&mut [i64], &[i64]) {
+    let (even, odd) = sorted.split_at_mut(3 * rows);
+    if j.is_multiple_of(2) {
+        (even, odd)
+    } else {
+        (odd, even)
+    }
+}
+
 /// Plan-independent dynamic state of an [`IncrementalEnhancer`]: retained
 /// column windows with their absolute base offsets, the (possibly frozen)
 /// static background, per-stage column counters, and the hole filler's
 /// union-find arena, captured verbatim so a restored enhancer replays
-/// bitwise. Config-derived fields (kernel, thresholds, scratch) are absent
-/// and rebuilt from the receiving enhancer's configuration.
+/// bitwise. Config-derived fields (kernel, thresholds, scratch) and
+/// derived data (the median's sorted triples) are absent and rebuilt by the
+/// receiving enhancer.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnhancerState {
     /// Absolute index of the first retained raw column.
@@ -480,52 +544,94 @@ pub struct HoleFillerState {
     pub next_emit: usize,
 }
 
-/// Absolute-indexed window of retained columns.
-#[derive(Debug, Default)]
-struct ColStore {
+/// Absolute-indexed window of retained columns in a fixed ring of flat
+/// columns: column `i` lives in slot `i % slots`.
+#[derive(Debug)]
+struct ColRing {
+    width: usize,
+    slots: usize,
+    /// Absolute index of the first retained column.
     base: usize,
-    cols: VecDeque<Vec<f64>>,
+    /// Columns retained.
+    len: usize,
+    data: Vec<f64>,
 }
 
-impl ColStore {
-    fn push(&mut self, col: Vec<f64>) {
-        self.cols.push_back(col);
+impl ColRing {
+    fn new(width: usize, slots: usize) -> Self {
+        ColRing { width, slots, base: 0, len: 0, data: vec![0.0; width * slots] }
+    }
+
+    fn slot(&self, i: usize) -> std::ops::Range<usize> {
+        debug_assert!(self.base <= i && i < self.base + self.len, "column {i} not retained");
+        let s = i % self.slots;
+        s * self.width..(s + 1) * self.width
+    }
+
+    /// Appends a column and returns its storage to fill.
+    fn push_slot(&mut self) -> &mut [f64] {
+        assert!(self.len < self.slots, "column ring overflow");
+        self.len += 1;
+        let range = self.slot(self.base + self.len - 1);
+        &mut self.data[range]
     }
 
     fn get(&self, i: usize) -> &[f64] {
-        &self.cols[i - self.base]
+        &self.data[self.slot(i)]
     }
 
+    fn get_mut(&mut self, i: usize) -> &mut [f64] {
+        let range = self.slot(i);
+        &mut self.data[range]
+    }
+
+    /// Drops the columns before `lo`.
     fn trim_to(&mut self, lo: usize) {
-        while self.base < lo && !self.cols.is_empty() {
-            self.cols.pop_front();
-            self.base += 1;
-        }
+        let drop = lo.saturating_sub(self.base).min(self.len);
+        self.base += drop;
+        self.len -= drop;
     }
 
     fn clear(&mut self) {
-        self.cols.clear();
         self.base = 0;
+        self.len = 0;
     }
 
+    /// Copies of the retained columns in `range` (state export).
+    fn columns(&self, range: std::ops::Range<usize>) -> Vec<Vec<f64>> {
+        range.map(|i| self.get(i).to_vec()).collect()
+    }
+
+    /// Replaces the window; `cols.len()` must fit the ring (the caller
+    /// validates).
     fn restore(&mut self, base: usize, cols: &[Vec<f64>]) {
-        self.cols.clear();
-        self.cols.extend(cols.iter().cloned());
         self.base = base;
+        self.len = 0;
+        for col in cols {
+            self.push_slot().copy_from_slice(col);
+        }
     }
 }
 
 /// Incremental hole filling: union-find over per-column background runs.
 ///
-/// Equivalent to [`crate::image::fill_holes_in_place`]: a background pixel
-/// is filled iff its 4-connected background component never touches the
-/// image border. Components are decided as soon as they either touch the
-/// border (decision "keep 0", monotone) or close (no run in the newest
-/// column — nothing later can reconnect, decision "fill"). Finished columns
-/// are emitted strictly in order.
+/// Equivalent to [`crate::image::fill_holes_in_place`] on a binary (0/1)
+/// image: a background pixel is filled iff its 4-connected background
+/// component never touches the image border. Components are decided as
+/// soon as they either touch the border (decision "keep 0", monotone) or
+/// close (no run in the newest column — nothing later can reconnect,
+/// decision "fill"). Finished columns are emitted strictly in order.
+///
+/// A binary column is fully described by its background runs (every other
+/// pixel is 1), so undecided columns are held as runs only, and an emitted
+/// column is rebuilt as 1 everywhere except its border-connected runs — in
+/// the same buffer the input column arrives in.
 #[derive(Debug)]
 struct HoleFiller {
     rows: usize,
+    /// Live union-find nodes: the first `nodes` entries of the arena
+    /// arrays below, whose lengths are the arena's capacity.
+    nodes: usize,
     parent: Vec<usize>,
     /// Root-indexed: component touches the border.
     border: Vec<bool>,
@@ -533,26 +639,28 @@ struct HoleFiller {
     last_col: Vec<usize>,
     /// Background runs `(r0, r1, node)` of the newest pushed column.
     frontier: Vec<(usize, usize, usize)>,
-    pending: VecDeque<PendingCol>,
+    /// Background runs of the undecided columns, oldest column first.
+    pending_runs: VecDeque<(usize, usize, usize)>,
+    /// Run count of each undecided column, oldest first.
+    pending_cols: VecDeque<usize>,
+    /// The binary column being pushed, then each column being emitted.
+    col: Vec<f64>,
     pushed: usize,
     next_emit: usize,
-}
-
-#[derive(Debug)]
-struct PendingCol {
-    data: Vec<f64>,
-    runs: Vec<(usize, usize, usize)>,
 }
 
 impl HoleFiller {
     fn new(rows: usize) -> Self {
         HoleFiller {
             rows,
+            nodes: 0,
             parent: Vec::new(),
             border: Vec::new(),
             last_col: Vec::new(),
             frontier: Vec::new(),
-            pending: VecDeque::new(),
+            pending_runs: VecDeque::new(),
+            pending_cols: VecDeque::new(),
+            col: vec![0.0; rows],
             pushed: 0,
             next_emit: 0,
         }
@@ -560,11 +668,10 @@ impl HoleFiller {
 
     /// Clears every component and pending column, reusing the allocations.
     fn reset(&mut self) {
-        self.parent.clear();
-        self.border.clear();
-        self.last_col.clear();
+        self.nodes = 0;
         self.frontier.clear();
-        self.pending.clear();
+        self.pending_runs.clear();
+        self.pending_cols.clear();
         self.pushed = 0;
         self.next_emit = 0;
     }
@@ -588,23 +695,41 @@ impl HoleFiller {
         self.last_col[ra] = self.last_col[ra].max(self.last_col[rb]);
     }
 
+    /// Adds a singleton component. The arena keeps its storage across
+    /// resets and compactions and doubles only when full, so a session
+    /// allocates only while its component count passes a new high-water
+    /// mark.
     fn new_node(&mut self, col: usize, border: bool) -> usize {
-        let id = self.parent.len();
-        self.parent.push(id);
-        self.border.push(border);
-        self.last_col.push(col);
+        let id = self.nodes;
+        if id == self.parent.len() {
+            let capacity = (2 * id).max(64);
+            self.parent.resize(capacity, 0);
+            self.border.resize(capacity, false);
+            self.last_col.resize(capacity, 0);
+        }
+        self.parent[id] = id;
+        self.border[id] = border;
+        self.last_col[id] = col;
+        self.nodes += 1;
         id
     }
 
-    fn push_column(&mut self, data: Vec<f64>, sink: &mut impl FnMut(usize, &[f64])) {
+    /// The buffer the next binary (0/1) column is written to before
+    /// [`HoleFiller::push_input`].
+    fn input_mut(&mut self) -> &mut [f64] {
+        &mut self.col
+    }
+
+    /// Takes the binary column in the input buffer.
+    fn push_input(&mut self, sink: &mut impl FnMut(usize, &[f64])) {
         let c = self.pushed;
         self.pushed += 1;
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        let mut runs = 0;
         let mut r = 0;
         while r < self.rows {
-            if data[r] == 0.0 {
+            if self.col[r] == 0.0 {
                 let r0 = r;
-                while r + 1 < self.rows && data[r + 1] == 0.0 {
+                while r + 1 < self.rows && self.col[r + 1] == 0.0 {
                     r += 1;
                 }
                 let r1 = r;
@@ -612,22 +737,23 @@ impl HoleFiller {
                 let node = self.new_node(c, touches_border);
                 // 4-connectivity: union with row-overlapping runs of the
                 // previous column.
-                let prev = std::mem::take(&mut self.frontier);
-                for &(p0, p1, pn) in &prev {
+                for i in 0..self.frontier.len() {
+                    let (p0, p1, pn) = self.frontier[i];
                     if p0 <= r1 && r0 <= p1 {
                         self.union(node, pn);
                         let root = self.find(node);
                         self.last_col[root] = c;
                     }
                 }
-                self.frontier = prev;
-                runs.push((r0, r1, node));
+                self.pending_runs.push_back((r0, r1, node));
+                runs += 1;
             }
             r += 1;
         }
         self.frontier.clear();
-        self.frontier.extend_from_slice(&runs);
-        self.pending.push_back(PendingCol { data, runs });
+        let newest = self.pending_runs.len() - runs;
+        self.frontier.extend(self.pending_runs.range(newest..).copied());
+        self.pending_cols.push_back(runs);
         self.drain(false, sink);
         self.maybe_compact();
     }
@@ -635,70 +761,74 @@ impl HoleFiller {
     /// Emits pending columns from the front while every run in them is
     /// decided (border, or closed before the newest column).
     fn drain(&mut self, final_flush: bool, sink: &mut impl FnMut(usize, &[f64])) {
-        loop {
-            let newest = self.pushed.wrapping_sub(1);
-            let runs: Vec<(usize, usize, usize)> = match self.pending.front() {
-                None => break,
-                Some(front) => front.runs.clone(),
-            };
-            let mut decided = true;
-            for &(_, _, node) in &runs {
-                let root = self.find(node);
+        let newest = self.pushed.wrapping_sub(1);
+        while let Some(&runs) = self.pending_cols.front() {
+            for i in 0..runs {
+                let root = self.find(self.pending_runs[i].2);
                 if !(self.border[root] || final_flush || self.last_col[root] < newest) {
-                    decided = false;
+                    return;
+                }
+            }
+            self.pending_cols.pop_front();
+            self.col.fill(1.0);
+            for _ in 0..runs {
+                let Some((r0, r1, node)) = self.pending_runs.pop_front() else {
                     break;
+                };
+                let root = self.find(node);
+                if self.border[root] {
+                    self.col[r0..=r1].fill(0.0);
                 }
             }
-            if !decided {
-                break;
-            }
-            if let Some(mut front) = self.pending.pop_front() {
-                for &(r0, r1, node) in &front.runs {
-                    let root = self.find(node);
-                    if !self.border[root] {
-                        for v in &mut front.data[r0..=r1] {
-                            *v = 1.0;
-                        }
-                    }
-                }
-                sink(self.next_emit, &front.data);
-                self.next_emit += 1;
-            }
+            sink(self.next_emit, &self.col);
+            self.next_emit += 1;
         }
     }
 
     /// Marks the final column's runs as border-connected (the right image
     /// edge) and flushes everything still pending.
     fn finish(&mut self, sink: &mut impl FnMut(usize, &[f64])) {
-        let frontier = std::mem::take(&mut self.frontier);
-        for &(_, _, node) in &frontier {
-            let root = self.find(node);
+        for i in 0..self.frontier.len() {
+            let root = self.find(self.frontier[i].2);
             self.border[root] = true;
         }
+        self.frontier.clear();
         self.drain(true, sink);
-        debug_assert!(self.pending.is_empty());
+        debug_assert!(self.pending_cols.is_empty());
     }
 
     fn export_state(&self) -> HoleFillerState {
+        let mut runs = self.pending_runs.iter().copied();
+        let pending = self
+            .pending_cols
+            .iter()
+            .map(|&n| {
+                let col_runs: ColumnRuns = runs.by_ref().take(n).collect();
+                let mut data = vec![1.0; self.rows];
+                for &(r0, r1, _) in &col_runs {
+                    data[r0..=r1].fill(0.0);
+                }
+                (data, col_runs)
+            })
+            .collect();
+        let n = self.nodes;
         HoleFillerState {
-            parent: self.parent.clone(),
-            border: self.border.clone(),
-            last_col: self.last_col.clone(),
+            parent: self.parent[..n].to_vec(),
+            border: self.border[..n].to_vec(),
+            last_col: self.last_col[..n].to_vec(),
             frontier: self.frontier.clone(),
-            pending: self
-                .pending
-                .iter()
-                .map(|p| (p.data.clone(), p.runs.clone()))
-                .collect(),
+            pending,
             pushed: self.pushed,
             next_emit: self.next_emit,
         }
     }
 
     /// Validating restore: rejects arenas whose parent pointers could make
-    /// `find` loop or index out of bounds, runs outside `[0, rows)`, and
+    /// `find` loop or index out of bounds, runs outside `[0, rows)`,
+    /// pending pixel data that is not exactly its runs' binary column, and
     /// column counters that disagree with the pending queue.
-    fn restore_state(&mut self, state: &HoleFillerState, rows: usize) -> Result<(), &'static str> {
+    fn restore_state(&mut self, state: &HoleFillerState) -> Result<(), &'static str> {
+        let rows = self.rows;
         let n = state.parent.len();
         if state.border.len() != n || state.last_col.len() != n {
             return Err("hole filler state: arena array lengths disagree");
@@ -719,57 +849,80 @@ impl HoleFiller {
             if data.len() != rows || !runs_ok(runs) {
                 return Err("hole filler state: pending column out of range");
             }
+            // Runs ascending and disjoint, and the pixels exactly 0 on them
+            // and 1 elsewhere: the binary column the runs describe.
+            let mut expect = vec![1.0f64; rows];
+            let mut prev_end = None;
+            for &(r0, r1, _) in runs {
+                if prev_end.is_some_and(|e| r0 <= e) {
+                    return Err("hole filler state: pending runs out of order");
+                }
+                prev_end = Some(r1);
+                expect[r0..=r1].fill(0.0);
+            }
+            if data.iter().zip(&expect).any(|(a, b)| a.to_bits() != b.to_bits()) {
+                return Err("hole filler state: pending column disagrees with its runs");
+            }
         }
         if state.next_emit + state.pending.len() != state.pushed {
             return Err("hole filler state: column counters disagree");
         }
-        self.parent = state.parent.clone();
-        self.border = state.border.clone();
-        self.last_col = state.last_col.clone();
-        self.frontier = state.frontier.clone();
-        self.pending.clear();
-        self.pending.extend(
-            state
-                .pending
-                .iter()
-                .map(|(data, runs)| PendingCol { data: data.clone(), runs: runs.clone() }),
-        );
+        self.nodes = n;
+        self.parent.clone_from(&state.parent);
+        self.border.clone_from(&state.border);
+        self.last_col.clone_from(&state.last_col);
+        self.frontier.clone_from(&state.frontier);
+        self.pending_runs.clear();
+        self.pending_cols.clear();
+        for (_, runs) in &state.pending {
+            self.pending_runs.extend(runs.iter().copied());
+            self.pending_cols.push_back(runs.len());
+        }
         self.pushed = state.pushed;
         self.next_emit = state.next_emit;
         Ok(())
     }
 
-    /// Rebuilds the union-find arena once nothing but the frontier is live,
-    /// bounding memory over arbitrarily long sessions.
+    /// Rebuilds the union-find arena in place once nothing but the frontier
+    /// is live, bounding memory over arbitrarily long sessions: each
+    /// frontier component becomes one root, numbered in order of first
+    /// appearance.
     fn maybe_compact(&mut self) {
-        if !self.pending.is_empty() || self.parent.len() < 4096 {
+        if !self.pending_cols.is_empty() || self.nodes < 4096 {
             return;
         }
-        let frontier = std::mem::take(&mut self.frontier);
-        let mut roots: Vec<(usize, usize)> = Vec::new();
-        let mut fresh: Vec<(usize, usize, usize)> = Vec::with_capacity(frontier.len());
-        let mut parent = Vec::new();
-        let mut border = Vec::new();
-        let mut last_col = Vec::new();
-        for &(r0, r1, node) in &frontier {
-            let root = self.find(node);
-            let id = match roots.iter().find(|&&(old, _)| old == root) {
-                Some(&(_, id)) => id,
-                None => {
-                    let id = parent.len();
-                    parent.push(id);
-                    border.push(self.border[root]);
-                    last_col.push(self.last_col[root]);
-                    roots.push((root, id));
-                    id
-                }
-            };
-            fresh.push((r0, r1, id));
+        // Nothing is pending, so the pending-run queue is free to hold each
+        // frontier run's `(root, border, last_col)` while the arena is
+        // rewritten from id 0.
+        let roots = &mut self.pending_runs;
+        let f = self.frontier.len();
+        for i in 0..f {
+            let mut x = self.frontier[i].2;
+            while self.parent[x] != x {
+                x = self.parent[x];
+            }
+            roots.push_back((x, usize::from(self.border[x]), self.last_col[x]));
         }
-        self.parent = parent;
-        self.border = border;
-        self.last_col = last_col;
-        self.frontier = fresh;
+        self.nodes = 0;
+        for i in 0..f {
+            let (root, border, last_col) = roots[i];
+            // The first run of the same component already holds its new id.
+            let mut id = self.nodes;
+            for j in 0..i {
+                if roots[j].0 == root {
+                    id = self.frontier[j].2;
+                    break;
+                }
+            }
+            if id == self.nodes {
+                self.parent[id] = id;
+                self.border[id] = border != 0;
+                self.last_col[id] = last_col;
+                self.nodes += 1;
+            }
+            self.frontier[i].2 = id;
+        }
+        roots.clear();
     }
 }
 
@@ -891,7 +1044,8 @@ mod tests {
             let col: Vec<f64> = (0..rows)
                 .map(|r| if spec.get(r, c) > 0.0 { 1.0 } else { 0.0 })
                 .collect();
-            filler.push_column(col, &mut |_, col| got.push(col.to_vec()));
+            filler.input_mut().copy_from_slice(&col);
+            filler.push_input(&mut |_, col| got.push(col.to_vec()));
         }
         filler.finish(&mut |_, col| got.push(col.to_vec()));
         assert_eq!(got.len(), cols);
@@ -923,15 +1077,12 @@ mod tests {
             let col: Vec<f64> = (0..rows)
                 .map(|r| if c % 7 < 3 && (3..6).contains(&r) { 1.0 } else { 0.0 })
                 .collect();
-            filler.push_column(col, &mut |_, _| emitted += 1);
+            filler.input_mut().copy_from_slice(&col);
+            filler.push_input(&mut |_, _| emitted += 1);
         }
         filler.finish(&mut |_, _| emitted += 1);
         assert_eq!(emitted, 30_000);
-        assert!(
-            filler.parent.len() < 10_000,
-            "union-find arena grew to {}",
-            filler.parent.len()
-        );
+        assert!(filler.nodes < 10_000, "union-find arena grew to {}", filler.nodes);
     }
 
     #[test]

@@ -227,6 +227,11 @@ fn accept_loop(listener: &TcpListener, manager: &Arc<SessionManager>, shared: &A
                 SmallStr::from_display(conn_id),
             );
         }
+        // Event and ack frames are small: without TCP_NODELAY each one can
+        // wait on Nagle's algorithm and the peer's delayed ACK.
+        if stream.set_nodelay(true).is_err() {
+            continue;
+        }
         let Ok(write_half) = stream.try_clone() else {
             continue;
         };

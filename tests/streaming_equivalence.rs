@@ -3,10 +3,14 @@
 //! [`StreamingRecognizer`] emits exactly the segments and classifications
 //! of the offline [`EchoWrite::recognize_strokes`] on the concatenated
 //! session — same boundaries, same DTW scores, bitwise — on both the
-//! full-rate and the down-converted front-end.
+//! full-rate and the down-converted front-end. The enhancement stage is
+//! also pinned on its own: [`IncrementalEnhancer`] against the batch
+//! [`Enhancer::enhance`] on the same sessions' ROI spectrograms, through
+//! mid-session state export and restore.
 
 use echowrite::{EchoWrite, EchoWriteConfig, StreamingRecognizer, StrokeRecognition};
 use echowrite_gesture::{Stroke, Writer, WriterParams};
+use echowrite_spectro::{Enhancer, IncrementalEnhancer, Spectrogram};
 use echowrite_synth::{DeviceProfile, EnvironmentProfile, Scene};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -123,6 +127,93 @@ proptest! {
         engine_idx in 0usize..2,
     ) {
         assert_equals_offline(&pool()[case_idx], engine_idx, &chunks);
+    }
+}
+
+/// Values the enhancement chain must carry through bitwise like the batch
+/// path: NaN, signed zeros, infinities, a subnormal, and a finger-echo-size
+/// magnitude.
+const SPECIAL_VALUES: [f64; 8] =
+    [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 60.0, -60.0];
+
+/// Streams `spec`'s columns through an [`IncrementalEnhancer`] in groups
+/// of the (cycled) `chunks` sizes; after every `cut_every`-th group the
+/// enhancer's state is exported and restored into a fresh one, as a
+/// suspend/resume would. Returns the emitted columns reassembled.
+fn enhance_in_chunks(
+    engine: &EchoWrite,
+    spec: &Spectrogram,
+    chunks: &[usize],
+    cut_every: usize,
+) -> Spectrogram {
+    let cfg = engine.config().enhance;
+    let mut out = Spectrogram::zeros(spec.rows(), spec.cols());
+    out.set_carrier_row(spec.carrier_row());
+    let mut next = 0;
+    let mut sink = |c: usize, col: &[f64]| {
+        assert_eq!(c, next, "columns emitted out of order");
+        for (r, &v) in col.iter().enumerate() {
+            out.set(r, c, v);
+        }
+        next += 1;
+    };
+    let mut inc = IncrementalEnhancer::new(cfg, spec.rows());
+    let (mut col, mut group) = (0, 0);
+    while col < spec.cols() {
+        let end = (col + chunks[group % chunks.len()]).min(spec.cols());
+        for c in col..end {
+            inc.push_column(&spec.column(c), &mut sink);
+        }
+        col = end;
+        group += 1;
+        if group % cut_every == 0 {
+            let state = inc.export_state();
+            inc = IncrementalEnhancer::new(cfg, spec.rows());
+            inc.restore_state(&state).expect("exported state restores");
+        }
+    }
+    inc.finish(&mut sink);
+    assert_eq!(next, spec.cols(), "every column emitted exactly once");
+    out
+}
+
+#[track_caller]
+fn assert_spectrograms_bitwise(a: &Spectrogram, b: &Spectrogram, what: &str) {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what}: shape");
+    for c in 0..a.cols() {
+        for r in 0..a.rows() {
+            let (x, y) = (a.get(r, c), b.get(r, c));
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: ({r}, {c}) is {x} vs {y}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The incremental enhancer equals the batch chain bitwise on every
+    /// pooled session's ROI spectrogram, for random column groupings and
+    /// state round trips, with random pixels overwritten by special values.
+    #[test]
+    fn incremental_enhancer_equals_batch_under_any_chunking(
+        chunks in prop::collection::vec(1usize..48, 1..12),
+        cut_every in 1usize..5,
+        case_idx in 0usize..4,
+        engine_idx in 0usize..2,
+        specials in prop::collection::vec((0usize..1 << 20, 0usize..8), 0..24),
+    ) {
+        let engine = &engines()[engine_idx];
+        let case = &pool()[case_idx];
+        let Some(mut spec) = engine.pipeline().roi_spectrogram(&case.audio) else {
+            return;
+        };
+        for &(at, v) in &specials {
+            let (r, c) = (at % spec.rows(), (at / spec.rows()) % spec.cols());
+            spec.set(r, c, SPECIAL_VALUES[v]);
+        }
+        let batch = Enhancer::new(engine.config().enhance).enhance(&spec);
+        let streamed = enhance_in_chunks(engine, &spec, &chunks, cut_every);
+        assert_spectrograms_bitwise(&streamed, &batch, case.name);
     }
 }
 
