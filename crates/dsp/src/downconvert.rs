@@ -196,11 +196,15 @@ impl StreamingDownconverter {
     /// Appends input audio, pushing every newly complete baseband sample
     /// onto `out`.
     pub fn push(&mut self, samples: &[f64], out: &mut Vec<Complex>) {
-        // Compaction below keeps the live tail short, so a large chunk
-        // reserves just what it needs: doubling would leave the next chunk's
-        // worth of never-used capacity resident in every stream. Small
-        // appends to a long buffer still grow geometrically.
-        self.buffer.reserve_exact(samples.len().max(self.buffer.len()));
+        // Compaction below keeps the live tail short, so a chunk that does
+        // not fit reserves exactly max(chunk, current length): a large chunk
+        // takes just what it needs (doubling would leave the next chunk's
+        // worth of never-used capacity resident in every stream), and small
+        // appends still grow the buffer geometrically, because nothing is
+        // reserved while they fit.
+        if self.buffer.capacity() - self.buffer.len() < samples.len() {
+            self.buffer.reserve_exact(samples.len().max(self.buffer.len()));
+        }
         self.buffer.extend_from_slice(samples);
         self.total_in += samples.len();
         // Output k needs input samples up to k·factor + half inclusive.
@@ -737,6 +741,24 @@ mod tests {
             "buffer grew to {}",
             stream.buffer.len()
         );
+    }
+
+    #[test]
+    fn streaming_downconverter_small_pushes_grow_geometrically() {
+        let dc = Downconverter::paper(32);
+        let mut stream = StreamingDownconverter::new(dc);
+        let mut out = Vec::new();
+        let (mut growths, mut capacity) = (0, stream.buffer.capacity());
+        for i in 0..20_000 {
+            stream.push(&[(i as f64 * 0.1).sin()], &mut out);
+            if stream.buffer.capacity() != capacity {
+                capacity = stream.buffer.capacity();
+                growths += 1;
+            }
+        }
+        // Doubling from one sample to the ~8.2 K compaction threshold takes
+        // about 14 growths; re-reserving on every push would take thousands.
+        assert!(growths <= 20, "buffer capacity changed {growths} times");
     }
 
     #[test]

@@ -542,11 +542,10 @@ pub(crate) fn conv1d_clamped_range(
 // bitwise the oracle's `select_nth_unstable_by(total_cmp)` on every input,
 // NaN payloads, ±0.0, ±∞ and subnormals included.
 //
-// Three kernels share the sorted layout: `median3_sort_into` sorts one
-// column, `median3_merge_into` takes the median of three sorted columns,
-// and `median3_push_into` does both in one pass for a sliding window — it
-// sorts the newest column, emits the median of the window it completes,
-// and overwrites the oldest sorted column, so a stream keeps only two.
+// Two kernels share the sorted layout: `median3_sort_into` sorts one
+// column and `median3_merge_into` takes the median of three sorted
+// columns, so a sliding window sorts each new column once into the slot of
+// the column that just left it and keeps three sorted columns.
 
 /// The `f64::total_cmp` key of `x`: its bits as `i64` with every bit but
 /// the sign flipped when the sign is set, so signed integer order is
@@ -592,21 +591,19 @@ fn med3(a: i64, b: i64, c: i64) -> i64 {
 // echolint: hot entry
 pub fn median3_sort_into(keys: &mut [i64], col: &[f64]) {
     assert_eq!(keys.len(), 3 * col.len());
-    // SAFETY: each arm runs only when backend() has verified the matching
-    // CPU feature at runtime — exactly the contract the #[target_feature]
-    // lane functions require; the slices pass through unchanged, so the
-    // length assertion above keeps every lane access in bounds.
+    // SAFETY: the lane runs only when backend() has verified AVX2 at
+    // runtime — exactly the contract its #[target_feature] requires; the
+    // slices pass through unchanged, so the length assertion above keeps
+    // every lane access in bounds.
     #[cfg(target_arch = "x86_64")]
-    match backend() {
-        Backend::Avx2 => return unsafe { x86::median3_sort_into_avx2(keys, col) },
-        Backend::Sse2 => return unsafe { x86::median3_sort_into_sse2(keys, col) },
-        _ => {}
+    if backend() == Backend::Avx2 {
+        return unsafe { x86::median3_sort_into_avx2(keys, col) };
     }
     median3_sort_into_ref(keys, col);
 }
 
-/// Scalar reference for [`median3_sort_into`] (also the NEON and forced
-/// scalar path).
+/// Scalar reference for [`median3_sort_into`] (also the SSE2, NEON and
+/// forced scalar path).
 // echolint: hot entry
 pub fn median3_sort_into_ref(keys: &mut [i64], col: &[f64]) {
     median3_sort_range(keys, col, 0, col.len());
@@ -635,21 +632,19 @@ pub fn median3_merge_into(out: &mut [f64], left: &[i64], center: &[i64], right: 
     assert_eq!(left.len(), 3 * out.len());
     assert_eq!(center.len(), 3 * out.len());
     assert_eq!(right.len(), 3 * out.len());
-    // SAFETY: each arm runs only when backend() has verified the matching
-    // CPU feature at runtime — exactly the contract the #[target_feature]
-    // lane functions require; the slices pass through unchanged, so the
-    // length assertions above keep every lane access in bounds.
+    // SAFETY: the lane runs only when backend() has verified AVX2 at
+    // runtime — exactly the contract its #[target_feature] requires; the
+    // slices pass through unchanged, so the length assertions above keep
+    // every lane access in bounds.
     #[cfg(target_arch = "x86_64")]
-    match backend() {
-        Backend::Avx2 => return unsafe { x86::median3_merge_into_avx2(out, left, center, right) },
-        Backend::Sse2 => return unsafe { x86::median3_merge_into_sse2(out, left, center, right) },
-        _ => {}
+    if backend() == Backend::Avx2 {
+        return unsafe { x86::median3_merge_into_avx2(out, left, center, right) };
     }
     median3_merge_into_ref(out, left, center, right);
 }
 
-/// Scalar reference for [`median3_merge_into`] (also the NEON and forced
-/// scalar path).
+/// Scalar reference for [`median3_merge_into`] (also the SSE2, NEON and
+/// forced scalar path).
 // echolint: hot entry
 pub fn median3_merge_into_ref(out: &mut [f64], left: &[i64], center: &[i64], right: &[i64]) {
     median3_merge_range(out, left, center, right, 0, out.len());
@@ -671,62 +666,6 @@ pub(crate) fn median3_merge_range(
         let mid = med3(left[n + r], center[n + r], right[n + r]);
         let hi = left[2 * n + r].min(center[2 * n + r]).min(right[2 * n + r]);
         out[r] = from_total_order_key(med3(lo, mid, hi));
-    }
-}
-
-/// One step of a sliding 3×3 median: sorts `col`'s vertical triples,
-/// writes the median of the window `older | newer | col` (sorted columns
-/// laid out as [`median3_sort_into`] writes them) into `out`, and replaces
-/// `older` with `col`'s sorted triples — bitwise
-/// `median3_sort_into(s, col); median3_merge_into(out, older, newer, s);
-/// older.copy_from_slice(s)`, without the third buffer.
-// echolint: hot entry
-pub fn median3_push_into(out: &mut [f64], older: &mut [i64], newer: &[i64], col: &[f64]) {
-    assert_eq!(col.len(), out.len());
-    assert_eq!(older.len(), 3 * out.len());
-    assert_eq!(newer.len(), 3 * out.len());
-    // SAFETY: each arm runs only when backend() has verified the matching
-    // CPU feature at runtime — exactly the contract the #[target_feature]
-    // lane functions require; the slices pass through unchanged, so the
-    // length assertions above keep every lane access in bounds.
-    #[cfg(target_arch = "x86_64")]
-    match backend() {
-        Backend::Avx2 => return unsafe { x86::median3_push_into_avx2(out, older, newer, col) },
-        Backend::Sse2 => return unsafe { x86::median3_push_into_sse2(out, older, newer, col) },
-        _ => {}
-    }
-    median3_push_into_ref(out, older, newer, col);
-}
-
-/// Scalar reference for [`median3_push_into`] (also the NEON and forced
-/// scalar path).
-// echolint: hot entry
-pub fn median3_push_into_ref(out: &mut [f64], older: &mut [i64], newer: &[i64], col: &[f64]) {
-    median3_push_range(out, older, newer, col, 0, out.len());
-}
-
-/// [`median3_push_into_ref`] over rows `[from, to)` only — the SIMD edge
-/// rows and tail. Row `r` reads `col[r−1 ..= r+1]` but writes only row `r`
-/// of `older`, so rows are independent.
-// echolint: hot entry
-pub(crate) fn median3_push_range(
-    out: &mut [f64],
-    older: &mut [i64],
-    newer: &[i64],
-    col: &[f64],
-    from: usize,
-    to: usize,
-) {
-    let n = out.len();
-    for r in from..to {
-        let (lo3, mid3, hi3) = sorted_triple(col, r);
-        let lo = older[r].max(newer[r]).max(lo3);
-        let mid = med3(older[n + r], newer[n + r], mid3);
-        let hi = older[2 * n + r].min(newer[2 * n + r]).min(hi3);
-        out[r] = from_total_order_key(med3(lo, mid, hi));
-        older[r] = lo3;
-        older[n + r] = mid3;
-        older[2 * n + r] = hi3;
     }
 }
 

@@ -11,22 +11,19 @@
 //! `len()`. `Complex` is `repr(C)` (`re`, `im`), so a `[Complex]` slice is
 //! loaded as interleaved `f64` pairs.
 
-use super::{conv1d_clamped_range, median3_merge_range, median3_push_range, median3_sort_range};
+use super::{conv1d_clamped_range, median3_merge_range, median3_sort_range};
 use crate::complex::Complex;
 use std::arch::x86_64::{
-    __m128d, __m128i, __m256d, __m256i, _mm256_add_pd, _mm256_addsub_pd, _mm256_and_pd,
-    _mm256_andnot_pd, _mm256_blendv_epi8, _mm256_castpd128_pd256, _mm256_castpd256_pd128,
-    _mm256_cmp_pd, _mm256_cmpgt_epi64, _mm256_extractf128_pd, _mm256_loadu_pd,
-    _mm256_loadu_si256, _mm256_max_pd, _mm256_min_pd, _mm256_movedup_pd, _mm256_mul_pd,
-    _mm256_permute2f128_pd, _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd,
-    _mm256_set_pd, _mm256_setzero_pd, _mm256_setzero_si256, _mm256_srli_epi64, _mm256_storeu_pd,
-    _mm256_storeu_si256, _mm256_sub_pd, _mm256_xor_pd, _mm256_xor_si256, _mm_add_pd, _mm_and_pd,
-    _mm_and_si128, _mm_andnot_pd, _mm_andnot_si128, _mm_cmpeq_epi32, _mm_cmpge_pd,
-    _mm_cmpgt_epi32, _mm_cmplt_pd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_loadu_si128, _mm_max_pd,
-    _mm_min_pd, _mm_mul_pd, _mm_or_si128, _mm_set1_pd, _mm_set_epi32, _mm_set_pd,
-    _mm_setzero_pd, _mm_shuffle_epi32, _mm_shuffle_pd, _mm_srai_epi32, _mm_srli_epi64,
-    _mm_storeu_pd, _mm_storeu_si128, _mm_sub_pd, _mm_unpackhi_pd, _mm_unpacklo_pd, _mm_xor_pd,
-    _mm_xor_si128, _CMP_GE_OQ, _CMP_LT_OQ,
+    __m128d, __m256d, __m256i, _mm256_add_pd, _mm256_addsub_pd, _mm256_and_pd, _mm256_andnot_pd,
+    _mm256_blendv_epi8, _mm256_castpd128_pd256, _mm256_castpd256_pd128, _mm256_cmp_pd,
+    _mm256_cmpgt_epi64, _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_loadu_si256,
+    _mm256_max_pd, _mm256_min_pd, _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
+    _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
+    _mm256_setzero_si256, _mm256_srli_epi64, _mm256_storeu_pd, _mm256_storeu_si256,
+    _mm256_sub_pd, _mm256_xor_pd, _mm256_xor_si256, _mm_add_pd, _mm_and_pd, _mm_andnot_pd,
+    _mm_cmpge_pd, _mm_cmplt_pd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_max_pd, _mm_min_pd, _mm_mul_pd,
+    _mm_set1_pd, _mm_set_pd, _mm_setzero_pd, _mm_shuffle_pd, _mm_storeu_pd, _mm_sub_pd,
+    _mm_unpackhi_pd, _mm_unpacklo_pd, _mm_xor_pd, _CMP_GE_OQ, _CMP_LT_OQ,
 };
 
 /// `_CMP_*` predicates used with `_mm256_cmp_pd` (ordered, quiet: NaN
@@ -697,189 +694,6 @@ pub(super) fn median3_merge_into_avx2(
         r += 4;
     }
     median3_merge_range(out, left, center, right, r, n);
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) fn median3_push_into_avx2(
-    out: &mut [f64],
-    older: &mut [i64],
-    newer: &[i64],
-    col: &[f64],
-) {
-    let n = out.len();
-    let first = n.min(1);
-    median3_push_range(out, older, newer, col, 0, first);
-    let (op, olp, nwp, cp) = (out.as_mut_ptr(), older.as_mut_ptr(), newer.as_ptr(), col.as_ptr());
-    let mut r = first;
-    while r + 4 < n {
-        // SAFETY: r >= 1 and r + 4 <= n − 1, so the col loads cover
-        // col[r−1 .. r+5) ⊂ [0, n); older and newer hold 3n keys, so plane
-        // offsets 0, n, 2n plus [r, r+4) stay in bounds; out holds n values.
-        // Each lane reads and writes only its own rows of `older`.
-        unsafe {
-            let a = key_avx2(_mm256_loadu_si256(cp.add(r - 1).cast::<__m256i>()));
-            let b = key_avx2(_mm256_loadu_si256(cp.add(r).cast::<__m256i>()));
-            let c = key_avx2(_mm256_loadu_si256(cp.add(r + 1).cast::<__m256i>()));
-            let (a, b) = (min_avx2(a, b), max_avx2(a, b));
-            let (b, hi3) = (min_avx2(b, c), max_avx2(b, c));
-            let (lo3, mid3) = (min_avx2(a, b), max_avx2(a, b));
-            let lo = max_avx2(max_avx2(ld_avx2(olp, r), ld_avx2(nwp, r)), lo3);
-            let mid = med3_avx2(ld_avx2(olp, n + r), ld_avx2(nwp, n + r), mid3);
-            let hi = min_avx2(min_avx2(ld_avx2(olp, 2 * n + r), ld_avx2(nwp, 2 * n + r)), hi3);
-            _mm256_storeu_si256(op.add(r).cast::<__m256i>(), key_avx2(med3_avx2(lo, mid, hi)));
-            _mm256_storeu_si256(olp.add(r).cast::<__m256i>(), lo3);
-            _mm256_storeu_si256(olp.add(n + r).cast::<__m256i>(), mid3);
-            _mm256_storeu_si256(olp.add(2 * n + r).cast::<__m256i>(), hi3);
-        }
-        r += 4;
-    }
-    median3_push_range(out, older, newer, col, r, n);
-}
-
-/// The `total_cmp` key map on two lanes: SSE2 has a 32-bit arithmetic
-/// shift, so the sign mask is the high dword's sign spread over the lane.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn key_sse2(b: __m128i) -> __m128i {
-    let sign = _mm_shuffle_epi32::<0b11_11_01_01>(_mm_srai_epi32::<31>(b));
-    _mm_xor_si128(b, _mm_srli_epi64::<1>(sign))
-}
-
-/// Signed 64-bit `a > b` per lane from 32-bit compares (SSE2 has no
-/// 64-bit compare): high dwords compared signed, low dwords unsigned (sign
-/// bit biased), combined as `gt_hi | (eq_hi & gt_lo)`.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn gt_sse2(a: __m128i, b: __m128i) -> __m128i {
-    let bias = _mm_set_epi32(0, i32::MIN, 0, i32::MIN);
-    let gt = _mm_cmpgt_epi32(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias));
-    let eq = _mm_cmpeq_epi32(a, b);
-    let gt_hi = _mm_shuffle_epi32::<0b11_11_01_01>(gt);
-    let gt_lo = _mm_shuffle_epi32::<0b10_10_00_00>(gt);
-    let eq_hi = _mm_shuffle_epi32::<0b11_11_01_01>(eq);
-    _mm_or_si128(gt_hi, _mm_and_si128(eq_hi, gt_lo))
-}
-
-/// Loads two keys at `p + at`.
-///
-/// # Safety
-///
-/// `p + at .. p + at + 2` must lie within one allocation.
-#[inline]
-#[target_feature(enable = "sse2")]
-// SAFETY: the bounds are the caller's contract (see `# Safety`).
-unsafe fn ld_sse2(p: *const i64, at: usize) -> __m128i {
-    // SAFETY: bounds are the caller's contract.
-    unsafe { _mm_loadu_si128(p.add(at).cast::<__m128i>()) }
-}
-
-#[inline]
-#[target_feature(enable = "sse2")]
-fn min_sse2(a: __m128i, b: __m128i) -> __m128i {
-    let gt = gt_sse2(a, b);
-    _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a))
-}
-
-#[inline]
-#[target_feature(enable = "sse2")]
-fn max_sse2(a: __m128i, b: __m128i) -> __m128i {
-    let gt = gt_sse2(a, b);
-    _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
-}
-
-#[inline]
-#[target_feature(enable = "sse2")]
-fn med3_sse2(a: __m128i, b: __m128i, c: __m128i) -> __m128i {
-    max_sse2(min_sse2(a, b), min_sse2(max_sse2(a, b), c))
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) fn median3_sort_into_sse2(keys: &mut [i64], col: &[f64]) {
-    let n = col.len();
-    let first = n.min(1);
-    median3_sort_range(keys, col, 0, first);
-    let (cp, kp) = (col.as_ptr(), keys.as_mut_ptr());
-    let mut r = first;
-    while r + 2 < n {
-        // SAFETY: r >= 1 and r + 2 <= n − 1, so the loads cover
-        // col[r−1 .. r+3) ⊂ [0, n) and the stores land in each plane's
-        // [r, r+2) ⊂ [0, n) of keys (length 3n).
-        unsafe {
-            let a = key_sse2(_mm_loadu_si128(cp.add(r - 1).cast::<__m128i>()));
-            let b = key_sse2(_mm_loadu_si128(cp.add(r).cast::<__m128i>()));
-            let c = key_sse2(_mm_loadu_si128(cp.add(r + 1).cast::<__m128i>()));
-            let (a, b) = (min_sse2(a, b), max_sse2(a, b));
-            let (b, c) = (min_sse2(b, c), max_sse2(b, c));
-            _mm_storeu_si128(kp.add(r).cast::<__m128i>(), min_sse2(a, b));
-            _mm_storeu_si128(kp.add(n + r).cast::<__m128i>(), max_sse2(a, b));
-            _mm_storeu_si128(kp.add(2 * n + r).cast::<__m128i>(), c);
-        }
-        r += 2;
-    }
-    median3_sort_range(keys, col, r, n);
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) fn median3_merge_into_sse2(
-    out: &mut [f64],
-    left: &[i64],
-    center: &[i64],
-    right: &[i64],
-) {
-    let n = out.len();
-    let (op, lp, cp, rp) = (out.as_mut_ptr(), left.as_ptr(), center.as_ptr(), right.as_ptr());
-    let mut r = 0;
-    while r + 2 <= n {
-        // SAFETY: r + 2 <= n; each input holds 3n keys, so plane offsets
-        // 0, n, 2n plus [r, r+2) stay in bounds, and out holds n values.
-        unsafe {
-            let lo = max_sse2(max_sse2(ld_sse2(lp, r), ld_sse2(cp, r)), ld_sse2(rp, r));
-            let mid = med3_sse2(ld_sse2(lp, n + r), ld_sse2(cp, n + r), ld_sse2(rp, n + r));
-            let hi = min_sse2(ld_sse2(lp, 2 * n + r), ld_sse2(cp, 2 * n + r));
-            let hi = min_sse2(hi, ld_sse2(rp, 2 * n + r));
-            let m = key_sse2(med3_sse2(lo, mid, hi));
-            _mm_storeu_si128(op.add(r).cast::<__m128i>(), m);
-        }
-        r += 2;
-    }
-    median3_merge_range(out, left, center, right, r, n);
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) fn median3_push_into_sse2(
-    out: &mut [f64],
-    older: &mut [i64],
-    newer: &[i64],
-    col: &[f64],
-) {
-    let n = out.len();
-    let first = n.min(1);
-    median3_push_range(out, older, newer, col, 0, first);
-    let (op, olp, nwp, cp) = (out.as_mut_ptr(), older.as_mut_ptr(), newer.as_ptr(), col.as_ptr());
-    let mut r = first;
-    while r + 2 < n {
-        // SAFETY: r >= 1 and r + 2 <= n − 1, so the col loads cover
-        // col[r−1 .. r+3) ⊂ [0, n); older and newer hold 3n keys, so plane
-        // offsets 0, n, 2n plus [r, r+2) stay in bounds; out holds n values.
-        // Each lane reads and writes only its own rows of `older`.
-        unsafe {
-            let a = key_sse2(_mm_loadu_si128(cp.add(r - 1).cast::<__m128i>()));
-            let b = key_sse2(_mm_loadu_si128(cp.add(r).cast::<__m128i>()));
-            let c = key_sse2(_mm_loadu_si128(cp.add(r + 1).cast::<__m128i>()));
-            let (a, b) = (min_sse2(a, b), max_sse2(a, b));
-            let (b, hi3) = (min_sse2(b, c), max_sse2(b, c));
-            let (lo3, mid3) = (min_sse2(a, b), max_sse2(a, b));
-            let lo = max_sse2(max_sse2(ld_sse2(olp, r), ld_sse2(nwp, r)), lo3);
-            let mid = med3_sse2(ld_sse2(olp, n + r), ld_sse2(nwp, n + r), mid3);
-            let hi = min_sse2(min_sse2(ld_sse2(olp, 2 * n + r), ld_sse2(nwp, 2 * n + r)), hi3);
-            _mm_storeu_si128(op.add(r).cast::<__m128i>(), key_sse2(med3_sse2(lo, mid, hi)));
-            _mm_storeu_si128(olp.add(r).cast::<__m128i>(), lo3);
-            _mm_storeu_si128(olp.add(n + r).cast::<__m128i>(), mid3);
-            _mm_storeu_si128(olp.add(2 * n + r).cast::<__m128i>(), hi3);
-        }
-        r += 2;
-    }
-    median3_push_range(out, older, newer, col, r, n);
 }
 
 // ---------------------------------------------------------------------------

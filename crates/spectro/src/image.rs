@@ -15,8 +15,8 @@ use echowrite_dsp::kernels;
 /// kernel's columns: a clamped 3×3 window holds the same nine values
 /// whichever axis is called vertical, so each row's sorted horizontal
 /// triples are computed once and serve the three output rows around it,
-/// two rows of them live at a time. The output is bitwise the median under
-/// `f64::total_cmp` of each gathered window.
+/// three rows of them live at a time. The output is bitwise the median
+/// under `f64::total_cmp` of each gathered window.
 pub fn median_filter_2d(src: &Spectrogram) -> Spectrogram {
     let (rows, cols) = (src.rows(), src.cols());
     let mut out = src.clone();
@@ -25,26 +25,25 @@ pub fn median_filter_2d(src: &Spectrogram) -> Spectrogram {
     }
     let data = src.data();
     let row = |r: usize| &data[r * cols..(r + 1) * cols];
-    let out_row = |r: usize| r * cols..(r + 1) * cols;
-    // Row i's sorted triples live in slot i % 2.
-    let mut slots = vec![0i64; 2 * 3 * cols];
-    let (even, odd) = slots.split_at_mut(3 * cols);
-    kernels::median3_sort_into(even, row(0));
-    if rows == 1 {
-        kernels::median3_merge_into(&mut out.data_mut()[out_row(0)], even, even, even);
-        return out;
-    }
-    kernels::median3_sort_into(odd, row(1));
+    // Row i's sorted triples live in slot i % 3; row r + 1 takes the slot
+    // of row r − 2, which no later window reads.
+    let width = 3 * cols;
+    let slot = |i: usize| (i % 3) * width..(i % 3 + 1) * width;
+    let mut slots = vec![0i64; 3 * width];
+    kernels::median3_sort_into(&mut slots[slot(0)], row(0));
     let out_data = out.data_mut();
-    kernels::median3_merge_into(&mut out_data[out_row(0)], even, even, odd);
-    for r in 1..rows - 1 {
-        // Window rows r−1 | r | r+1: the oldest slot takes row r+1.
-        let (older, newer) = if r % 2 == 1 { (&mut *even, &*odd) } else { (&mut *odd, &*even) };
-        kernels::median3_push_into(&mut out_data[out_row(r)], older, newer, row(r + 1));
+    for r in 0..rows {
+        let below = (r + 1).min(rows - 1);
+        if below > r {
+            kernels::median3_sort_into(&mut slots[slot(below)], row(below));
+        }
+        kernels::median3_merge_into(
+            &mut out_data[r * cols..(r + 1) * cols],
+            &slots[slot(r.saturating_sub(1))],
+            &slots[slot(r)],
+            &slots[slot(below)],
+        );
     }
-    let last = rows - 1;
-    let (older, newer) = if last % 2 == 1 { (&*even, &*odd) } else { (&*odd, &*even) };
-    kernels::median3_merge_into(&mut out_data[out_row(last)], older, newer, newer);
     out
 }
 

@@ -37,8 +37,13 @@ const MHALF: usize = EnhanceConfig::MEDIAN_SIZE / 2;
 /// columns, receive finished binary columns, batch-equivalent bitwise.
 ///
 /// Every buffer is sized at construction, so pushing a column allocates
-/// nothing; only the hole filler's union-find arena, frontier and
-/// undecided-run queue grow, and only past their high-water marks.
+/// nothing in the steady state. The hole filler's union-find arena and
+/// run queues start with room for a typical word session and grow only
+/// past that warm-up size: while a session opens more than 512 union-find
+/// components before a compaction, or holds more than 16 background runs
+/// in one column or undecided behind an open hole. They keep their
+/// capacity across [`IncrementalEnhancer::reset`], so a pool of reused
+/// enhancers stops allocating once each has seen its longest session.
 ///
 /// # Example
 ///
@@ -59,8 +64,8 @@ pub struct IncrementalEnhancer {
     kernel: Vec<f64>,
     ghalf: usize,
     /// Sorted vertical triples (`kernels::median3_sort_into` layout) of the
-    /// two newest raw columns, column `i` in slot `i % 2`: the median
-    /// window's retained raw columns `[med_n − 1, raw_n)`, which
+    /// three newest raw columns, column `i` in slot `i % 3`: they hold the
+    /// median window's retained raw columns `[med_n − 1, raw_n)`, which
     /// `kernels::median3_unsort_into` recovers for state export.
     sorted: Vec<i64>,
     /// Raw columns received.
@@ -119,7 +124,7 @@ impl IncrementalEnhancer {
         IncrementalEnhancer {
             binarize_at: cfg.binarize_threshold * scale,
             rows,
-            sorted: vec![0; 2 * 3 * rows],
+            sorted: vec![0; 3 * 3 * rows],
             raw_n: 0,
             med_n: 0,
             cols: ColRing::new(rows, slots),
@@ -187,18 +192,11 @@ impl IncrementalEnhancer {
         assert!(!self.finished, "push_column after finish");
         assert_eq!(raw.len(), self.rows, "column length mismatch");
         let (frozen_before, out_before) = (self.frozen, self.columns_out());
+        // Column j takes the slot of column j − 3, which no window still
+        // open reads.
         let j = self.raw_n;
         self.raw_n += 1;
-        if j >= 2 && self.med_n + MHALF == j {
-            // Steady state: column j completes median j − 1's window; one
-            // pass sorts it into the slot of column j − 2, which no later
-            // window reads.
-            let (older, newer) = sorted_pair(&mut self.sorted, j, self.rows);
-            kernels::median3_push_into(self.cols.push_slot(), older, newer, raw);
-            self.median_done(None, sink);
-        } else {
-            kernels::median3_sort_into(&mut self.sorted[sorted_slot(j, self.rows)], raw);
-        }
+        kernels::median3_sort_into(&mut self.sorted[sorted_slot(j, self.rows)], raw);
         self.advance(None, sink);
         if echowrite_trace::enabled() {
             self.trace_push(frozen_before, out_before);
@@ -241,9 +239,7 @@ impl IncrementalEnhancer {
     }
 
     /// Runs every stage as far as finality allows; `total` is the session
-    /// column count once known (at finish). Besides the steady-state push,
-    /// a median is computed here only at the session's two edges: column 0
-    /// (left clamp) and, at finish, the last column (right clamp).
+    /// column count once known (at finish).
     fn advance(&mut self, total: Option<usize>, sink: &mut impl FnMut(usize, &[f64])) {
         loop {
             let m = self.med_n;
@@ -420,6 +416,12 @@ impl IncrementalEnhancer {
                 return Err("enhancer state: lead-in buffer at or past the freeze point");
             }
         }
+        // Before the freeze every median column is buffered for the
+        // lead-in; after it, every median column is thresholded at once.
+        let staged = if state.background.is_some() { state.thr_n } else { state.pre_bg.len() };
+        if staged != state.med_n {
+            return Err("enhancer state: median count disagrees with its next stage");
+        }
         // Every stage runs as far as finality allows before a push returns,
         // so an exported window is exactly the columns the next stage still
         // reads; anything else is not a state this enhancer can reach.
@@ -462,21 +464,10 @@ impl IncrementalEnhancer {
 }
 
 /// Where raw column `i`'s sorted triples live in
-/// [`IncrementalEnhancer`]'s two-slot `sorted` buffer.
+/// [`IncrementalEnhancer`]'s three-slot `sorted` buffer.
 fn sorted_slot(i: usize, rows: usize) -> std::ops::Range<usize> {
     let width = 3 * rows;
-    (i % 2) * width..(i % 2 + 1) * width
-}
-
-/// The slot of column `j − 2` (to be overwritten by column `j`) and the
-/// slot of column `j − 1`.
-fn sorted_pair(sorted: &mut [i64], j: usize, rows: usize) -> (&mut [i64], &[i64]) {
-    let (even, odd) = sorted.split_at_mut(3 * rows);
-    if j.is_multiple_of(2) {
-        (even, odd)
-    } else {
-        (odd, even)
-    }
+    (i % 3) * width..(i % 3 + 1) * width
 }
 
 /// Plan-independent dynamic state of an [`IncrementalEnhancer`]: retained
@@ -613,6 +604,21 @@ impl ColRing {
     }
 }
 
+/// Union-find nodes the hole filler's arena holds from construction: a
+/// word session of a few hundred columns opens about 200–350 components
+/// before its first compaction.
+const ARENA_CAPACITY: usize = 512;
+
+/// Background runs the hole filler's frontier and undecided-run queue hold
+/// from construction: a binarized word column has a handful (at most
+/// `rows / 2` are possible, but sizing every session for that would keep
+/// kilobytes per session that are never used).
+const RUN_CAPACITY: usize = 16;
+
+/// Undecided columns the hole filler queues from construction (a column
+/// waits only while a hole spanning it is still open).
+const PENDING_COLUMNS: usize = 16;
+
 /// Incremental hole filling: union-find over per-column background runs.
 ///
 /// Equivalent to [`crate::image::fill_holes_in_place`] on a binary (0/1)
@@ -654,12 +660,12 @@ impl HoleFiller {
         HoleFiller {
             rows,
             nodes: 0,
-            parent: Vec::new(),
-            border: Vec::new(),
-            last_col: Vec::new(),
-            frontier: Vec::new(),
-            pending_runs: VecDeque::new(),
-            pending_cols: VecDeque::new(),
+            parent: vec![0; ARENA_CAPACITY],
+            border: vec![false; ARENA_CAPACITY],
+            last_col: vec![0; ARENA_CAPACITY],
+            frontier: Vec::with_capacity(RUN_CAPACITY),
+            pending_runs: VecDeque::with_capacity(RUN_CAPACITY),
+            pending_cols: VecDeque::with_capacity(PENDING_COLUMNS),
             col: vec![0.0; rows],
             pushed: 0,
             next_emit: 0,
@@ -698,11 +704,11 @@ impl HoleFiller {
     /// Adds a singleton component. The arena keeps its storage across
     /// resets and compactions and doubles only when full, so a session
     /// allocates only while its component count passes a new high-water
-    /// mark.
+    /// mark above [`ARENA_CAPACITY`].
     fn new_node(&mut self, col: usize, border: bool) -> usize {
         let id = self.nodes;
         if id == self.parent.len() {
-            let capacity = (2 * id).max(64);
+            let capacity = 2 * id.max(1);
             self.parent.resize(capacity, 0);
             self.border.resize(capacity, false);
             self.last_col.resize(capacity, 0);
@@ -867,10 +873,16 @@ impl HoleFiller {
         if state.next_emit + state.pending.len() != state.pushed {
             return Err("hole filler state: column counters disagree");
         }
+        // The arena arrays' lengths are its capacity: copy the live prefix.
+        if self.parent.len() < n {
+            self.parent.resize(n, 0);
+            self.border.resize(n, false);
+            self.last_col.resize(n, 0);
+        }
         self.nodes = n;
-        self.parent.clone_from(&state.parent);
-        self.border.clone_from(&state.border);
-        self.last_col.clone_from(&state.last_col);
+        self.parent[..n].copy_from_slice(&state.parent);
+        self.border[..n].copy_from_slice(&state.border);
+        self.last_col[..n].copy_from_slice(&state.last_col);
         self.frontier.clone_from(&state.frontier);
         self.pending_runs.clear();
         self.pending_cols.clear();
@@ -1194,9 +1206,32 @@ mod tests {
             assert!(fresh.restore_state(&bad).is_err(), "wild parent accepted");
         }
 
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.holes.pushed += 1;
         assert!(fresh.restore_state(&bad).is_err(), "queue mismatch accepted");
+
+        // Frozen, with a median column not yet thresholded: the raw window
+        // and the thresholded window are each consistent on their own.
+        assert!(good.background.is_some());
+        let mut bad = good;
+        bad.raw_n += 1;
+        bad.med_n += 1;
+        bad.raw_base += 1;
+        bad.raw_cols.push(bad.raw_cols[0].clone());
+        bad.raw_cols.remove(0);
+        assert!(fresh.restore_state(&bad).is_err(), "unthresholded median accepted");
+
+        // Unfrozen, with a median column missing from the lead-in buffer.
+        let mut lead_in = IncrementalEnhancer::new(cfg, spec.rows());
+        for c in 0..3 {
+            lead_in.push_column(&spec.column(c), &mut sink);
+        }
+        let early = lead_in.export_state();
+        assert!(early.background.is_none() && early.pre_bg.len() >= 2);
+        assert!(fresh.restore_state(&early).is_ok());
+        let mut bad = early;
+        bad.pre_bg.pop();
+        assert!(fresh.restore_state(&bad).is_err(), "short lead-in accepted");
     }
 
     #[test]
